@@ -166,7 +166,7 @@ func parseMix(s string) ([]mixEntry, error) {
 }
 
 func run(o opts) error {
-	client := &http.Client{Timeout: o.timeout}
+	client := &http.Client{Timeout: o.timeout, Transport: newTransport(o.clients)}
 
 	// Prime the daemon: /recommend against an empty stream answers 422,
 	// and the first ingest also warms the INUM cache, so the measured
@@ -244,6 +244,21 @@ func run(o opts) error {
 	}
 
 	return report(o, stats, wall, before, after)
+}
+
+// newTransport holds one keep-alive connection per client. The default
+// transport keeps two idle connections per host, so beyond two clients
+// every request that finds the idle pool full closes its connection and
+// a later one dials a fresh one: the run would partly measure TCP
+// handshakes instead of the daemon. The idle pool is sized to the
+// clients, and the connection cap stops a request from dialing an extra
+// connection while another client's is about to come free.
+func newTransport(clients int) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = clients
+	t.MaxIdleConnsPerHost = clients
+	t.MaxConnsPerHost = clients
+	return t
 }
 
 // pick draws one mix entry by weight.

@@ -223,7 +223,10 @@ func (ad *Advisor) Config(res *Result) *engine.Config {
 // INUM cache, the γ memos, the previous incumbent as a MIP start and
 // the previous multipliers as a dual warm start, which is what makes
 // the revised recommendation roughly an order of magnitude cheaper
-// than the initial one (Figure 6b).
+// than the initial one (Figure 6b). BIPGen is incremental too: the
+// session keeps each statement's compiled block and update costs, and
+// a re-solve recompiles only the statements that changed or whose
+// tables gained candidates.
 type Session struct {
 	ad   *Advisor
 	w    *workload.Workload
@@ -235,6 +238,9 @@ type Session struct {
 	// daemon adopts it exactly as it would the previous in-process
 	// solve, then the session's own results take over.
 	seed *SessionState
+	// memo is BIPGen's per-statement memo from the last build, so a
+	// re-solve recompiles only the statements that changed.
+	memo *bipMemo
 }
 
 // NewSession starts an interactive session.
@@ -329,6 +335,7 @@ func (se *Session) Compact(live []*catalog.Index) {
 		return out
 	}
 	se.s = news
+	se.memo = nil // positions moved: every entry is stale
 	if se.last != nil && !se.last.Infeasible {
 		cp := *se.last
 		cp.Lambda = cp.Lambda.Remap(perm)
@@ -413,10 +420,11 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 	}
 
 	t1 := time.Now()
-	model, err := BuildModel(inst)
+	model, memo, err := buildModel(inst, se.memo)
 	if err != nil {
 		return nil, err
 	}
+	se.memo = memo
 	if err := applyConstraints(inst, model, se.cons); err != nil {
 		return nil, err
 	}

@@ -46,8 +46,46 @@ type Instance struct {
 // preallocated positions, so the emitted model is bit-identical to a
 // serial build. BuildTime in the advisor's breakdown measures this
 // function; its cheapness relative to ILP's configuration enumeration
-// is the heart of Figure 5.
+// is the heart of Figure 5. BuildModel is buildModel on an empty memo.
 func BuildModel(inst *Instance) (*lagrange.Model, error) {
+	m, _, err := buildModel(inst, nil)
+	return m, err
+}
+
+// bipMemo is BIPGen's per-statement memo, carried by a Session from one
+// solve to the next. Theorem 1 makes every statement's block a function
+// of that statement and the candidates on its tables alone, so an entry
+// compiled over candidate list s stays exact for any later list that
+// keeps s as its prefix and appends nothing on the statement's tables.
+// Entries are keyed by statement ID: an ID always names the same
+// statement (the INUM cache's contract too).
+type bipMemo struct {
+	// s is the candidate list the entries were compiled over.
+	s []*catalog.Index
+	// blocks holds each query block's choices, keyed by the ID of the
+	// query (or update shell) as Workload.Queries yields it.
+	blocks map[string][]lagrange.Choice
+	// updates holds each UPDATE's maintenance costs, keyed by its ID.
+	updates map[string]*updateCosts
+}
+
+// updateCosts is one UPDATE's share of the model: its base-tuple cost
+// and its nonzero per-candidate maintenance costs, positions ascending.
+type updateCosts struct {
+	base float64
+	pos  []int32
+	cost []float64
+}
+
+// buildModel is BIPGen over a memo from an earlier build (nil for
+// none). It recompiles only the statements whose entry is missing or
+// stale and returns, with the model, the memo for the next build: the
+// entries of the current workload's statements only, so the memo
+// shrinks with the workload. Reused choices are shared with the memo's
+// earlier models (lagrange.Block.Choices is read-only once built);
+// weights, the constant term and the update-cost sums are always
+// recomputed, in workload order, from the current statements.
+func buildModel(inst *Instance, prev *bipMemo) (*lagrange.Model, *bipMemo, error) {
 	m := lagrange.NewModel(len(inst.S))
 	// Slots within one template access distinct tables, so an index
 	// never fills two slots of one choice — the solver may aggregate
@@ -56,65 +94,124 @@ func BuildModel(inst *Instance) (*lagrange.Model, error) {
 	for i, ix := range inst.S {
 		t := inst.Cat.Table(ix.Table)
 		if t == nil {
-			return nil, fmt.Errorf("cophy: candidate %s references unknown table", ix.ID())
+			return nil, nil, fmt.Errorf("cophy: candidate %s references unknown table", ix.ID())
 		}
 		m.Size[i] = float64(ix.Bytes(t))
 	}
 
+	// An entry is stale when the candidate prefix it was compiled over
+	// changed, or when a candidate appended since is on one of its
+	// statement's tables (those are the only candidates its slots or
+	// maintenance costs could involve).
+	if prev != nil && !samePrefix(prev.s, inst.S) {
+		prev = nil
+	}
+	var fresh map[string]bool
+	if prev != nil {
+		fresh = make(map[string]bool)
+		for _, ix := range inst.S[len(prev.s):] {
+			fresh[ix.Table] = true
+		}
+	}
+	next := &bipMemo{s: inst.S}
+
 	// Update costs: FixedCost[a] = Σ_u f_u·ucost(a,u); Const gathers
-	// the index-independent base-tuple costs. The candidate axis is
-	// parallelized (each worker owns disjoint FixedCost entries and
-	// sums statements in workload order, keeping the result exact and
-	// deterministic); the constant term is one cheap serial pass.
+	// the index-independent base-tuple costs. Missing entries are
+	// computed one worker-pool task per UPDATE; the sums then run
+	// serially in workload order, so every coefficient is exact and
+	// deterministic whichever entries were reused.
 	updates := inst.Workload.Updates()
 	if len(updates) > 0 {
+		next.updates = make(map[string]*updateCosts, len(updates))
+		var miss []*workload.Update
 		for _, s := range updates {
-			m.Const += s.Weight * inst.Eng.BaseUpdateCost(s.Update)
+			u := s.Update
+			if _, dup := next.updates[u.ID]; dup {
+				continue
+			}
+			var uc *updateCosts
+			if prev != nil && !fresh[u.Table] {
+				uc = prev.updates[u.ID]
+			}
+			if uc == nil {
+				miss = append(miss, u)
+			}
+			next.updates[u.ID] = uc
 		}
-		par.For(len(inst.S), inst.Workers, func(i int) {
-			ix := inst.S[i]
-			var sum float64
-			for _, s := range updates {
-				if c := inst.Eng.UpdateCost(s.Update, ix); c > 0 {
-					sum += s.Weight * c
+		computed := make([]*updateCosts, len(miss))
+		par.For(len(miss), inst.Workers, func(k int) {
+			u := miss[k]
+			uc := &updateCosts{base: inst.Eng.BaseUpdateCost(u)}
+			for a, ix := range inst.S {
+				if c := inst.Eng.UpdateCost(u, ix); c > 0 {
+					uc.pos = append(uc.pos, int32(a))
+					uc.cost = append(uc.cost, c)
 				}
 			}
-			m.FixedCost[i] = sum
+			computed[k] = uc
 		})
+		for k, u := range miss {
+			next.updates[u.ID] = computed[k]
+		}
+		for _, s := range updates {
+			uc := next.updates[s.Update.ID]
+			m.Const += s.Weight * uc.base
+			for k, a := range uc.pos {
+				m.FixedCost[a] += s.Weight * uc.cost[k]
+			}
+		}
 	}
 
-	// Query blocks from the dense γ matrix, one worker-pool task per
-	// query, written into its preallocated position.
-	mat := inst.Inum.CompileMatrix(inst.Workload, inst.S, inst.Baseline, inst.Workers)
+	// Query blocks: reused choices where the entry holds, the rest from
+	// a dense γ matrix compiled over the missing statements only, one
+	// worker-pool task per statement written into its preallocated
+	// position.
 	stmts := inst.Workload.Queries()
 	blocks := make([]lagrange.Block, len(stmts))
-	errs := make([]error, len(stmts))
-	par.For(len(stmts), inst.Workers, func(i int) {
-		s := stmts[i]
-		qm := mat.Query(s.Query)
-		if qm == nil || len(qm.Internal) == 0 {
-			errs[i] = fmt.Errorf("cophy: no templates for %s", s.Query.ID)
-			return
+	next.blocks = make(map[string][]lagrange.Choice, len(stmts))
+	var miss []int
+	var missW workload.Workload
+	for i, s := range stmts {
+		q := s.Query
+		blocks[i] = lagrange.Block{ID: q.ID, Weight: s.Weight}
+		if prev != nil && !onTables(fresh, q.Tables) {
+			if ch, ok := prev.blocks[q.ID]; ok {
+				blocks[i].Choices = ch
+				next.blocks[q.ID] = ch
+				continue
+			}
 		}
-		blk, err := buildBlock(s.Weight, s.Query.ID, qm)
-		if err != nil {
-			errs[i] = err
-			return
+		miss = append(miss, i)
+		missW.Statements = append(missW.Statements, s)
+	}
+	if len(miss) > 0 {
+		mat := inst.Inum.CompileMatrix(&missW, inst.S, inst.Baseline, inst.Workers)
+		errs := make([]error, len(miss))
+		par.For(len(miss), inst.Workers, func(k int) {
+			blk := &blocks[miss[k]]
+			qm := mat.Query(stmts[miss[k]].Query)
+			if qm == nil || len(qm.Internal) == 0 {
+				errs[k] = fmt.Errorf("cophy: no templates for %s", blk.ID)
+				return
+			}
+			blk.Choices, errs[k] = buildChoices(blk.ID, qm)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, nil, err
+			}
 		}
-		blocks[i] = blk
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		for _, i := range miss {
+			next.blocks[blocks[i].ID] = blocks[i].Choices
 		}
 	}
 	m.Blocks = blocks
-	return m, nil
+	return m, next, nil
 }
 
-// buildBlock emits one query's choice block from its dense γ slab.
-func buildBlock(weight float64, queryID string, qm *inum.QueryMatrix) (lagrange.Block, error) {
-	blk := lagrange.Block{ID: queryID, Weight: weight}
+// buildChoices emits one query block's choices from its dense γ slab.
+func buildChoices(queryID string, qm *inum.QueryMatrix) ([]lagrange.Choice, error) {
+	var choices []lagrange.Choice
 	for ti := 0; ti < len(qm.Internal); ti++ {
 		ch := lagrange.Choice{Fixed: qm.Internal[ti]}
 		feasible := true
@@ -137,104 +234,38 @@ func buildBlock(weight float64, queryID string, qm *inum.QueryMatrix) (lagrange.
 			ch.Slots = append(ch.Slots, slot)
 		}
 		if feasible {
-			blk.Choices = append(blk.Choices, ch)
+			choices = append(choices, ch)
 		}
 	}
-	if len(blk.Choices) == 0 {
-		return blk, fmt.Errorf("cophy: no feasible choice for %s", queryID)
+	if len(choices) == 0 {
+		return nil, fmt.Errorf("cophy: no feasible choice for %s", queryID)
 	}
-	return blk, nil
+	return choices, nil
 }
 
-// buildModelSerial is the original map-based reference implementation
-// of BuildModel: γ probes through the memoized Gamma map, one query at
-// a time. It is retained (and exercised by TestBuildModelMatchesReference)
-// to pin the dense parallel path to the reference semantics.
-func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
-	m := lagrange.NewModel(len(inst.S))
-	m.DistinctPerChoice = true
-	pos := make(map[string]int32, len(inst.S))
-	for i, ix := range inst.S {
-		pos[ix.ID()] = int32(i)
-		t := inst.Cat.Table(ix.Table)
-		if t == nil {
-			return nil, fmt.Errorf("cophy: candidate %s references unknown table", ix.ID())
-		}
-		m.Size[i] = float64(ix.Bytes(t))
+// samePrefix reports whether cur keeps every candidate of old at its
+// position. Sessions only append, so pointer identity suffices; any
+// other change (Compact, a new session) reads as a changed prefix.
+func samePrefix(old, cur []*catalog.Index) bool {
+	if len(old) > len(cur) {
+		return false
 	}
-	for _, s := range inst.Workload.Updates() {
-		u := s.Update
-		m.Const += s.Weight * inst.Eng.BaseUpdateCost(u)
-		for i, ix := range inst.S {
-			if c := inst.Eng.UpdateCost(u, ix); c > 0 {
-				m.FixedCost[i] += s.Weight * c
-			}
+	for i, ix := range old {
+		if cur[i] != ix {
+			return false
 		}
 	}
-	for _, s := range inst.Workload.Queries() {
-		q := s.Query
-		qi := inst.Inum.PrepareQuery(q)
-		if len(qi.Templates) == 0 {
-			return nil, fmt.Errorf("cophy: no templates for %s", q.ID)
-		}
-		blk := lagrange.Block{ID: q.ID, Weight: s.Weight}
-		for ti, tpl := range qi.Templates {
-			ch := lagrange.Choice{Fixed: tpl.Internal}
-			feasible := true
-			for si := range tpl.Slots {
-				slot := inst.slotOptions(qi, ti, si, pos)
-				if len(slot) == 0 {
-					feasible = false
-					break
-				}
-				ch.Slots = append(ch.Slots, slot)
-			}
-			if feasible {
-				blk.Choices = append(blk.Choices, ch)
-			}
-		}
-		if len(blk.Choices) == 0 {
-			return nil, fmt.Errorf("cophy: no feasible choice for %s", q.ID)
-		}
-		m.Blocks = append(m.Blocks, blk)
-	}
-	return m, nil
+	return true
 }
 
-// slotOptions prices one template slot: the free option (I∅ or a
-// baseline index) plus one option per compatible candidate on the
-// slot's table.
-func (inst *Instance) slotOptions(qi *inum.QueryInfo, ti, si int, pos map[string]int32) lagrange.Slot {
-	tpl := qi.Templates[ti]
-	table := tpl.Slots[si].Table
-	var slot lagrange.Slot
-
-	// Free option: the cheapest always-available access method.
-	free := math.Inf(1)
-	if g, ok := inst.Inum.Gamma(qi, ti, si, nil); ok {
-		free = g
-	}
-	for _, bx := range inst.Baseline.OnTable(table) {
-		if g, ok := inst.Inum.Gamma(qi, ti, si, bx); ok && g < free {
-			free = g
+// onTables reports whether any of tables is in set.
+func onTables(set map[string]bool, tables []string) bool {
+	for _, t := range tables {
+		if set[t] {
+			return true
 		}
 	}
-	if !math.IsInf(free, 1) {
-		slot = append(slot, lagrange.Option{Index: lagrange.NoIndex, Cost: free})
-	}
-
-	for _, ix := range inst.S {
-		if ix.Table != table {
-			continue
-		}
-		if g, ok := inst.Inum.Gamma(qi, ti, si, ix); ok {
-			// An option is useful only if it can beat the free one.
-			if g < free {
-				slot = append(slot, lagrange.Option{Index: pos[ix.ID()], Cost: g})
-			}
-		}
-	}
-	return slot
+	return false
 }
 
 // BuildExplicitBIP constructs the BIP of Theorem 1 literally — one

@@ -30,41 +30,131 @@ type CGenOptions struct {
 // workload and emits a large per-query candidate set from the
 // referenced columns, without aggressive pruning — CoPhy delegates
 // pruning to the solver (§4). The union is deduplicated and returned
-// in deterministic order.
+// in deterministic order. It is a fresh CGen's first call.
 func Candidates(cat *catalog.Catalog, w *workload.Workload, opts CGenOptions) []*catalog.Index {
+	return NewCGen(cat, opts).Candidates(w)
+}
+
+// CGen is candidate generation memoized per statement, for callers that
+// regenerate candidates over successive snapshots of one living
+// workload. A statement's candidates depend on nothing but the
+// statement, so its list is kept under its statement ID (an ID always
+// names the same statement, the contract the INUM cache also relies
+// on) and only statements not seen by the previous call are examined.
+// Every distinct candidate is interned with its ID string: lists share
+// one *catalog.Index per ID and the union never recomputes an ID.
+//
+// The memo is rebuilt on every call from the current workload's
+// statements only, so it shrinks with the live set. A CGen is not safe
+// for concurrent use.
+type CGen struct {
+	cat  *catalog.Catalog
+	opts CGenOptions
+	// lists maps a statement ID (of Workload.Queries) to the interned
+	// candidates it emitted, repeats included; pool interns the union
+	// of the previous call by ID.
+	lists map[string][]*internedIndex
+	pool  map[string]*internedIndex
+}
+
+// internedIndex is one candidate with its ID computed once.
+type internedIndex struct {
+	ix *catalog.Index
+	id string
+}
+
+// NewCGen builds an empty candidate-generation memo.
+func NewCGen(cat *catalog.Catalog, opts CGenOptions) *CGen {
 	if opts.MaxKeyCols <= 0 {
 		opts.MaxKeyCols = 3
 	}
-	set := make(map[string]*catalog.Index)
-	add := func(ix *catalog.Index) {
-		if ix == nil || len(ix.Key) == 0 {
-			return
+	return &CGen{cat: cat, opts: opts}
+}
+
+// Candidates returns CGen's candidate set for w — the same list, in the
+// same order, as Candidates(cat, w, opts) — reusing the lists of
+// statements the previous call already examined.
+func (g *CGen) Candidates(w *workload.Workload) []*catalog.Index {
+	stmts := w.Queries()
+	lists := make(map[string][]*internedIndex, len(stmts))
+	union := make(map[string]*internedIndex, len(g.pool))
+	var out []*internedIndex
+	take := func(c *internedIndex) {
+		if union[c.id] == nil {
+			union[c.id] = c
+			out = append(out, c)
 		}
-		if t := cat.Table(ix.Table); t != nil {
-			for _, k := range ix.Key {
-				if t.Column(k) == nil {
-					return
-				}
+	}
+	for _, s := range stmts {
+		id := s.Query.ID
+		if _, dup := lists[id]; dup {
+			continue
+		}
+		list, ok := g.lists[id]
+		if ok {
+			for _, c := range list {
+				take(c)
 			}
 		} else {
-			return
+			perQueryCandidates(s.Query, g.opts, func(ix *catalog.Index) {
+				if !g.valid(ix) {
+					return
+				}
+				key := ix.ID()
+				c := union[key]
+				if c == nil {
+					if c = g.pool[key]; c == nil {
+						c = &internedIndex{ix: ix, id: key}
+					}
+					take(c)
+				}
+				list = append(list, c)
+			})
 		}
-		set[ix.ID()] = ix
+		lists[id] = list
 	}
+	g.lists, g.pool = lists, union
 
-	for _, s := range w.Queries() {
-		perQueryCandidates(s.Query, opts, add)
+	// Administrator-supplied candidates join the result but not the
+	// pool; the last DBA value of an ID stands for it in the result.
+	dba := make(map[string]*catalog.Index, len(g.opts.DBA))
+	for _, ix := range g.opts.DBA {
+		if !g.valid(ix) {
+			continue
+		}
+		key := ix.ID()
+		if _, dup := dba[key]; !dup && union[key] == nil {
+			out = append(out, &internedIndex{ix: ix, id: key})
+		}
+		dba[key] = ix
 	}
-	for _, ix := range opts.DBA {
-		add(ix)
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	res := make([]*catalog.Index, len(out))
+	for i, c := range out {
+		res[i] = c.ix
+		if ix, ok := dba[c.id]; ok {
+			res[i] = ix
+		}
 	}
+	return res
+}
 
-	out := make([]*catalog.Index, 0, len(set))
-	for _, ix := range set {
-		out = append(out, ix)
+// valid reports whether ix is a usable candidate: a non-empty key over
+// existing columns of an existing table.
+func (g *CGen) valid(ix *catalog.Index) bool {
+	if ix == nil || len(ix.Key) == 0 {
+		return false
 	}
-	catalog.SortIndexes(out)
-	return out
+	t := g.cat.Table(ix.Table)
+	if t == nil {
+		return false
+	}
+	for _, k := range ix.Key {
+		if t.Column(k) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // perQueryCandidates emits the candidates suggested by one query,

@@ -67,7 +67,10 @@ type Block struct {
 	ID string
 	// Weight is the statement weight f_q.
 	Weight float64
-	// Choices are the mutually exclusive evaluation strategies.
+	// Choices are the mutually exclusive evaluation strategies. They
+	// are read-only once built: BIPGen shares one statement's choices
+	// across the models of successive solves, and soft-constraint
+	// scalarization shares them across the points of a sweep.
 	Choices []Choice
 	// CostCap, when positive, is a per-statement cost constraint
 	// (Appendix E.2: ASSERT cost(q,X*) ≤ V): a selection under which

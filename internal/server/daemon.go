@@ -112,10 +112,12 @@ type Config struct {
 // wherever it is waiting. Durability failures flip the daemon into a
 // degraded read-only state (see health.go) instead of killing it.
 type Daemon struct {
-	cat           *catalog.Catalog
-	eng           *engine.Engine
-	ad            *cophy.Advisor
-	cgen          cophy.CGenOptions
+	cat *catalog.Catalog
+	eng *engine.Engine
+	ad  *cophy.Advisor
+	// cgen memoizes candidate generation per statement; like the
+	// session, it is only used under sem.
+	cgen          *cophy.CGen
 	stream        *workload.Stream
 	baseline      *engine.Config
 	reqTimeout    time.Duration
@@ -234,7 +236,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Daemon, error) {
 		cat:           cfg.Catalog,
 		eng:           cfg.Engine,
 		ad:            cophy.NewAdvisor(cfg.Catalog, cfg.Engine, cfg.Advisor),
-		cgen:          cfg.CGen,
+		cgen:          cophy.NewCGen(cfg.Catalog, cfg.CGen),
 		stream:        workload.NewStream(workload.StreamConfig{HalfLife: halfLife, MinWeight: cfg.MinWeight}),
 		baseline:      engine.NewConfig(tpch.BaselineIndexes(cfg.Catalog)...),
 		reqTimeout:    cfg.RequestTimeout,
@@ -325,13 +327,14 @@ func (d *Daemon) applyIngest(ctx context.Context, sql string, weightScale float6
 			return IngestResult{}, err
 		}
 	}
-	for _, s := range w.Statements {
-		if weightScale > 0 {
+	if weightScale > 0 {
+		for _, s := range w.Statements {
 			s.Weight *= weightScale
 		}
-		d.stream.Observe(s)
 	}
-	d.stream.Tick()
+	// One stream-lock acquisition for the whole batch and its tick, so a
+	// concurrent recommend snapshots either none of the batch or all.
+	d.stream.ObserveBatch(w.Statements)
 	// Still under pMu: a snapshot cut between the stream mutation and
 	// this add would otherwise persist an undercounted ingested stat
 	// that recovery makes permanent.
@@ -570,7 +573,7 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	// snapshot above.
 	cons := d.consFor(opts.BudgetFraction)
 	stopCand := obs.TraceFrom(ctx).StartSpan("candgen")
-	cands := cophy.Candidates(d.cat, w, d.cgen)
+	cands := d.cgen.Candidates(w)
 	stopCand()
 
 	// The session's candidate positions are append-only (they anchor

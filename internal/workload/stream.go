@@ -71,9 +71,29 @@ func NewStream(cfg StreamConfig) *Stream {
 // stable ID); a known one adds its weight to the existing entry. It
 // returns the entry's stable ID.
 func (st *Stream) Observe(s *Statement) string {
-	key := s.String()
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	return st.observeLocked(s)
+}
+
+// ObserveBatch folds a whole ingest batch and advances the decay clock
+// once, under one acquisition of the stream's lock: a concurrent
+// Snapshot sees either none of the batch or all of it, never a prefix.
+// Eviction hooks run after the lock is released, as they do for Tick.
+func (st *Stream) ObserveBatch(stmts []*Statement) {
+	st.mu.Lock()
+	for _, s := range stmts {
+		st.observeLocked(s)
+	}
+	evicted, fn := st.tickLocked()
+	st.mu.Unlock()
+	for _, id := range evicted {
+		fn(id)
+	}
+}
+
+func (st *Stream) observeLocked(s *Statement) string {
+	key := s.String()
 	st.observed++
 	if e, ok := st.entries[key]; ok {
 		e.weight += s.Weight
@@ -109,10 +129,19 @@ func (st *Stream) OnEvict(fn func(id string)) {
 // threshold are dropped. Without decay configured, Tick only counts.
 func (st *Stream) Tick() {
 	st.mu.Lock()
+	evicted, fn := st.tickLocked()
+	st.mu.Unlock()
+	for _, id := range evicted {
+		fn(id)
+	}
+}
+
+// tickLocked is Tick's body under the lock. It returns the evicted IDs
+// and the hook to run on each once the caller has unlocked.
+func (st *Stream) tickLocked() ([]string, func(string)) {
 	st.ticks++
 	if st.decay >= 1 {
-		st.mu.Unlock()
-		return
+		return nil, nil
 	}
 	var evicted []string
 	kept := st.order[:0]
@@ -131,11 +160,7 @@ func (st *Stream) Tick() {
 		st.order[i] = nil
 	}
 	st.order = kept
-	fn := st.onEvict
-	st.mu.Unlock()
-	for _, id := range evicted {
-		fn(id)
-	}
+	return evicted, st.onEvict
 }
 
 // Snapshot materializes the live workload: the surviving statements in

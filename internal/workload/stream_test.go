@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +146,69 @@ func TestStreamConcurrentObserve(t *testing.T) {
 	}
 	if st.Observed() != 160 {
 		t.Fatalf("observed = %d, want 160", st.Observed())
+	}
+}
+
+// TestStreamObserveBatchAtomic: an ingest batch applied through
+// ObserveBatch is atomic to readers. With decay off and statements that
+// never repeat, every snapshot must hold exactly k statements per tick;
+// a snapshot taken between two Observes of one batch would hold a
+// remainder. Run under -race it also checks the lock discipline.
+func TestStreamObserveBatchAtomic(t *testing.T) {
+	const k, ticks = 5, 60
+	cat := tpch.Build(tpch.Config{ScaleFactor: 0.01})
+	batches := make([][]*Statement, ticks)
+	for b := range batches {
+		var sql strings.Builder
+		for i := 0; i < k; i++ {
+			n := 1 + b*k + i // distinct 3-decimal positions: never repeats
+			fmt.Fprintf(&sql, "SELECT l_quantity FROM lineitem WHERE l_shipdate < :%0.3f;\n", float64(n)/1000)
+		}
+		w, err := Parse(cat, sql.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[b] = w.Statements
+	}
+
+	st := NewStream(StreamConfig{})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad []string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for snaps := 0; ; snaps++ {
+			select {
+			case <-done:
+				if snaps == 0 {
+					bad = append(bad, "reader took no snapshot")
+				}
+				return
+			default:
+			}
+			w := st.Snapshot()
+			var tick int
+			if _, err := fmt.Sscanf(w.Name, "stream@%d", &tick); err != nil {
+				bad = append(bad, err.Error())
+				return
+			}
+			if w.Size() != k*tick {
+				bad = append(bad, fmt.Sprintf("snapshot at tick %d holds %d statements, want %d", tick, w.Size(), k*tick))
+				return
+			}
+		}
+	}()
+	for _, b := range batches {
+		st.ObserveBatch(b)
+	}
+	close(done)
+	wg.Wait()
+	for _, msg := range bad {
+		t.Error(msg)
+	}
+	if st.Len() != k*ticks || st.Ticks() != ticks {
+		t.Fatalf("live = %d, ticks = %d; want %d, %d", st.Len(), st.Ticks(), k*ticks, ticks)
 	}
 }
 
