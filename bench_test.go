@@ -51,100 +51,22 @@ func BenchmarkSkewZ1(b *testing.B)   { runExp(b, "skewz1") }
 
 // --- Substrate micro-benchmarks ---
 
-// BenchmarkWhatIfOptimize measures one raw what-if optimization of a
-// five-way join query — the unit of work INUM amortizes.
-func BenchmarkWhatIfOptimize(b *testing.B) {
-	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
-	eng := engine.New(cat, engine.SystemA())
-	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
-	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 1})
-	var q *workload.Query
-	for _, st := range w.Queries() {
-		if len(st.Query.Tables) >= 4 {
-			q = st.Query
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.WhatIfCost(q, base); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkINUMCost measures the INUM-cached cost evaluation that
-// replaces a what-if call — the speedup that makes Theorem 1 usable.
-func BenchmarkINUMCost(b *testing.B) {
-	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
-	eng := engine.New(cat, engine.SystemA())
-	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
-	cache := inum.New(eng)
-	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 1})
-	cache.Prepare(w)
-	q := w.Queries()[2].Query
-	cfg := base.Union(engine.NewConfig(&catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}))
-	if _, err := cache.Cost(q, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cache.Cost(q, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCostMatrixCompile measures dense γ-slab compilation for a
-// 30-query workload over its full candidate set — the one-off cost
-// BIPGen pays to replace per-coefficient map probes.
-func BenchmarkCostMatrixCompile(b *testing.B) {
-	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
-	eng := engine.New(cat, engine.SystemA())
-	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
-	w := workload.Hom(workload.HomConfig{Queries: 30, Seed: 6})
-	cache := inum.New(eng)
-	cache.Prepare(w)
-	s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.CompileMatrix(w, s, base, 0)
-	}
-}
-
-// BenchmarkCostMatrixEval measures one dense cost(q, X) evaluation —
-// the inner loop of ILP enumeration and any matrix-backed search.
-func BenchmarkCostMatrixEval(b *testing.B) {
-	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
-	eng := engine.New(cat, engine.SystemA())
-	base := engine.NewConfig(tpch.BaselineIndexes(cat)...)
-	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 1})
-	cache := inum.New(eng)
-	cache.Prepare(w)
-	s := cophy.Candidates(cat, w, cophy.CGenOptions{Covering: true})
-	mat := cache.CompileMatrix(w, s, base, 0)
-	qm := mat.Query(w.Queries()[2].Query)
-	sel := make([]bool, len(s))
-	for i := range sel {
-		sel[i] = i%3 == 0
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := qm.Cost(sel); !ok {
-			b.Fatal("infeasible")
-		}
-	}
-}
-
-// BenchmarkINUMPrepare measures template-plan extraction per query.
-func BenchmarkINUMPrepare(b *testing.B) {
-	cat := tpch.Build(tpch.Config{ScaleFactor: 1})
-	eng := engine.New(cat, engine.SystemA())
-	w := workload.Hom(workload.HomConfig{Queries: 30, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache := inum.New(eng)
-		cache.Prepare(w)
+// BenchmarkKernels runs the kernel micro-benchmark registry
+// (experiments.BenchSuites) as sub-benchmarks, e.g.
+// `-bench 'Kernels/INUM/CostMatrixEval'` — the same definitions
+// `cmd/experiments -bench-json` exports to BENCH_*.json. A suite's
+// fixture is built only when one of its benchmarks is selected.
+func BenchmarkKernels(b *testing.B) {
+	for _, s := range experiments.BenchSuites {
+		b.Run(s.Name, func(b *testing.B) {
+			benches, err := s.Table()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, bn := range benches {
+				b.Run(bn.Name, bn.Run)
+			}
+		})
 	}
 }
 
@@ -188,16 +110,6 @@ func buildBenchModel(b *testing.B, queries int) *lagrange.Model {
 	}
 	m.Budget = 0.5 * float64(cat.TotalBytes())
 	return m
-}
-
-// BenchmarkLagrangeSolve measures the structured solver on a real
-// CoPhy BIP.
-func BenchmarkLagrangeSolve(b *testing.B) {
-	m := buildBenchModel(b, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
-	}
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---

@@ -109,9 +109,9 @@ type Result struct {
 	// Nodes is the number of explored nodes.
 	Nodes int
 	// NumericFallbacks counts node LP solves that hit a numerical
-	// failure in the sparse simplex and were finished by the dense
-	// oracle (lp.Solution.NumericFallback) — observability for flaky
-	// bases, threaded up to the daemon's /stats.
+	// failure and were finished by a cold re-solve on a fresh
+	// factorization (lp.Solution.NumericFallback) — observability for
+	// flaky bases, threaded up to the daemon's /stats.
 	NumericFallbacks int
 	// WarmDowngrades counts node LP solves whose parent warm basis was
 	// numerically defeated and installed cold instead.

@@ -220,7 +220,7 @@ func (ad *Advisor) Config(res *Result) *engine.Config {
 
 // Session supports interactive tuning (§4.2): the DBA tweaks the
 // candidate set or constraints and re-solves; the session reuses the
-// INUM cache, the γ memos, the previous incumbent as a MIP start and
+// INUM cache, the previous incumbent as a MIP start and
 // the previous multipliers as a dual warm start, which is what makes
 // the revised recommendation roughly an order of magnitude cheaper
 // than the initial one (Figure 6b). BIPGen is incremental too: the

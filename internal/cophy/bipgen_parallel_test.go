@@ -30,7 +30,7 @@ func parallelInstance(t *testing.T, workers int) *Instance {
 }
 
 // TestBuildModelMatchesReference pins the dense parallel BuildModel to
-// the retained map-based serial reference implementation: the emitted
+// the serial reference implementation: the emitted
 // models must be deeply equal — same blocks, same option order, same
 // coefficients to the last bit.
 func TestBuildModelMatchesReference(t *testing.T) {
@@ -80,9 +80,9 @@ func TestBuildModelDeterministic(t *testing.T) {
 	}
 }
 
-// buildModelSerial is the map-based reference implementation of
-// BuildModel: γ probes through the memoized Gamma map, one query at a
-// time. TestBuildModelMatchesReference pins the dense parallel path to
+// buildModelSerial is the serial reference implementation of
+// BuildModel: one Cache.Gamma probe per (slot, candidate), one query at
+// a time, with no CostMatrix. TestBuildModelMatchesReference pins the dense parallel path to
 // it.
 func buildModelSerial(inst *Instance) (*lagrange.Model, error) {
 	m := lagrange.NewModel(len(inst.S))

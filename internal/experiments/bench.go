@@ -66,12 +66,37 @@ func newBenchEnv(queries int) *benchEnv {
 	}
 }
 
-// BenchInum measures the INUM cost substrate: raw what-if
-// optimization, the map-based reference cost path, the dense matrix
-// compilation and its evaluation.
-func BenchInum() ([]BenchResult, error) {
+// Bench is one registered micro-benchmark: a name within its suite
+// and the benchmark body.
+type Bench struct {
+	Name string
+	Run  func(b *testing.B)
+}
+
+// BenchSuite is one named benchmark table. Table builds the suite's
+// shared fixture and returns the benchmarks over it; File is the
+// BENCH_*.json the suite exports to.
+type BenchSuite struct {
+	Name  string
+	File  string
+	Table func() ([]Bench, error)
+}
+
+// BenchSuites is the one registry of the kernel micro-benchmarks.
+// WriteBenchJSON runs every entry through testing.Benchmark, and the
+// root bench_test.go runs the same entries as sub-benchmarks with
+// b.Run, so each benchmark is defined exactly once.
+var BenchSuites = []BenchSuite{
+	{"INUM", "BENCH_inum.json", inumBenches},
+	{"Solver", "BENCH_solver.json", solverBenches},
+	{"LP", "BENCH_lp.json", lpBenches},
+}
+
+// inumBenches is the INUM cost substrate's table: raw what-if
+// optimization, the direct cost(q, X) walk, the dense matrix
+// compilation and its evaluation, and template preparation.
+func inumBenches() ([]Bench, error) {
 	e := newBenchEnv(30)
-	var out []BenchResult
 
 	var q *workload.Query
 	for _, st := range e.w.Queries() {
@@ -83,55 +108,18 @@ func BenchInum() ([]BenchResult, error) {
 	if q == nil {
 		q = e.w.Queries()[0].Query
 	}
-	out = append(out, toResult("WhatIfOptimize", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.eng.WhatIfCost(q, e.base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})))
-
 	cfg := e.base.Union(engine.NewConfig(&catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}))
-	out = append(out, toResult("INUMCostMapPath", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.cache.Cost(q, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})))
-
-	out = append(out, toResult("CostMatrixCompile", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.cache.CompileMatrix(e.w, e.s, e.base, 0)
-		}
-	})))
-
 	mat := e.cache.CompileMatrix(e.w, e.s, e.base, 0)
 	qm := mat.Query(q)
 	sel := make([]bool, len(e.s))
 	for i := range sel {
 		sel[i] = i%3 == 0
 	}
-	out = append(out, toResult("CostMatrixEval", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := qm.Cost(sel); !ok {
-				b.Fatal("infeasible")
-			}
-		}
-	})))
 
-	out = append(out, toResult("INUMPrepare", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := inum.New(e.eng)
-			c.Prepare(e.w)
-		}
-	})))
-
-	// INUMPrepareWarmShape: the repeated-template regime the shape
-	// cache exists for. The workload holds each query under four
-	// statement IDs — distinct statements, identical shapes — so a cold
-	// prepare derives one quarter of the statements and serves the rest
-	// from the shape cache.
+	// The warm-shape workload holds each query under four statement
+	// IDs — distinct statements, identical shapes — so a cold prepare
+	// derives one quarter of the statements and serves the rest from
+	// the shape cache.
 	warm := &workload.Workload{}
 	for _, st := range e.w.Queries() {
 		for k := 0; k < 4; k++ {
@@ -140,104 +128,130 @@ func BenchInum() ([]BenchResult, error) {
 			warm.Statements = append(warm.Statements, &workload.Statement{Query: &q, Weight: st.Weight})
 		}
 	}
-	out = append(out, toResult("INUMPrepareWarmShape", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := inum.New(e.eng)
-			c.Prepare(warm)
-		}
-	})))
-
-	// RestartRecovery: the post-restart warm path — import the
-	// persisted shape records and re-prepare the full workload. With a
-	// valid payload this performs zero TemplatePlan derivations, so it
-	// measures exactly what a recovered daemon pays before serving warm.
 	recs := e.cache.ExportShapes()
-	out = append(out, toResult("RestartRecovery", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := inum.New(e.eng)
-			c.ImportShapes(recs)
-			c.Prepare(e.w)
-		}
-	})))
-	return out, nil
+
+	return []Bench{
+		// One raw what-if optimization of a multi-way join: the unit
+		// of work INUM amortizes.
+		{"WhatIfOptimize", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.eng.WhatIfCost(q, e.base); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The INUM cost evaluation that replaces a what-if call.
+		{"INUMCost", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.cache.Cost(q, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"CostMatrixCompile", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.cache.CompileMatrix(e.w, e.s, e.base, 0)
+			}
+		}},
+		{"CostMatrixEval", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := qm.Cost(sel); !ok {
+					b.Fatal("infeasible")
+				}
+			}
+		}},
+		{"INUMPrepare", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				inum.New(e.eng).Prepare(e.w)
+			}
+		}},
+		// The repeated-template regime the shape cache exists for.
+		{"INUMPrepareWarmShape", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				inum.New(e.eng).Prepare(warm)
+			}
+		}},
+		// The post-restart warm path: import the persisted shape
+		// records and re-prepare the full workload. With a valid
+		// payload this performs zero TemplatePlan derivations, so it
+		// measures exactly what a recovered daemon pays before serving
+		// warm.
+		{"RestartRecovery", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := inum.New(e.eng)
+				c.ImportShapes(recs)
+				c.Prepare(e.w)
+			}
+		}},
+	}, nil
 }
 
-// BenchSolver measures the solve pipeline: BIPGen model construction
-// and the Lagrangian solver, cold and dual-warm-started.
-func BenchSolver() ([]BenchResult, error) {
+// solverBenches is the solve pipeline's table: BIPGen model
+// construction and the Lagrangian solver, cold and dual-warm-started.
+func solverBenches() ([]Bench, error) {
 	e := newBenchEnv(40)
-	var out []BenchResult
-
 	ad := cophy.NewAdvisor(e.cat, e.eng, cophy.Options{})
 	ad.Inum.Prepare(e.w)
 	inst := cophy.InstanceForTest(ad, e.w, e.s)
-
-	out = append(out, toResult("BuildModel", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cophy.BuildModel(inst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})))
-
 	m, err := cophy.BuildModel(inst)
 	if err != nil {
 		return nil, err
 	}
 	m.Budget = 0.5 * float64(e.cat.TotalBytes())
-
-	out = append(out, toResult("LagrangeSolve", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
-		}
-	})))
-
 	seed := lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 400, MaxNodes: 16})
-	out = append(out, toResult("LagrangeSolveWarm", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lagrange.Solve(m, lagrange.Options{
-				GapTol: 0.05, RootIters: 400, MaxNodes: 16,
-				Warm: seed.Lambda, Start: seed.Selected,
-			})
-		}
-	})))
-	return out, nil
+
+	return []Bench{
+		{"BuildModel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cophy.BuildModel(inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"LagrangeSolve", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lagrange.Solve(m, lagrange.Options{GapTol: 0.05, RootIters: 160, MaxNodes: 16})
+			}
+		}},
+		{"LagrangeSolveWarm", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lagrange.Solve(m, lagrange.Options{
+					GapTol: 0.05, RootIters: 400, MaxNodes: 16,
+					Warm: seed.Lambda, Start: seed.Selected,
+				})
+			}
+		}},
+	}, nil
 }
 
-// BenchLP measures the LP substrate: the sparse revised simplex
-// against the dense tableau oracle on identical BIP-shaped instances —
-// lp.RandomBIPShaped over lp.BenchBIPShapes, the same generator and
-// shape table the oracle property test and in-repo benchmark use —
-// plus the factorization-sharing warm-start path. The constraint-rich
-// shape's ≥3× sparse-vs-dense ratio is the LP rewrite's acceptance
-// bar.
-func BenchLP() ([]BenchResult, error) {
-	var out []BenchResult
+// lpBenches is the LP substrate's table: the sparse revised simplex on
+// BIP-shaped instances — lp.RandomBIPShaped over lp.BenchBIPShapes,
+// the same generator and shape table the oracle property test uses —
+// plus the factorization-sharing warm-start path. The sparse-vs-dense
+// ratio against the test-only tableau oracle is measured in package
+// lp by BenchmarkSolveSparseVsDense.
+func lpBenches() ([]Bench, error) {
+	var out []Bench
 	for _, sh := range lp.BenchBIPShapes {
 		var probs []*lp.Problem
 		for seed := int64(0); seed < 8; seed++ {
 			probs = append(probs, lp.RandomBIPShaped(seed, sh.NZ, sh.Blocks, sh.Side, false))
 		}
-		out = append(out, toResult("SolveSparse/"+sh.Name, testing.Benchmark(func(b *testing.B) {
+		out = append(out, Bench{"SolveSparse/" + sh.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lp.Solve(probs[i%len(probs)])
 			}
-		})))
-		out = append(out, toResult("SolveDense/"+sh.Name, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lp.SolveDense(probs[i%len(probs)])
-			}
-		})))
+		}})
 	}
 	p := lp.RandomBIPShaped(7, 24, 12, 24, false)
 	root := lp.Solve(p)
 	child := p.Clone()
 	child.SetBounds(0, 1, 1)
-	out = append(out, toResult("WarmSolveFactorShared", testing.Benchmark(func(b *testing.B) {
+	out = append(out, Bench{"WarmSolveFactorShared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lp.SolveFrom(child, root.Basis)
 		}
-	})))
+	}})
 	return out, nil
 }
 
@@ -336,24 +350,20 @@ func WriteBenchJSON(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	suites := []struct {
-		file string
-		run  func() ([]BenchResult, error)
-	}{
-		{"BENCH_inum.json", BenchInum},
-		{"BENCH_solver.json", BenchSolver},
-		{"BENCH_lp.json", BenchLP},
-	}
-	for _, s := range suites {
-		results, err := s.run()
+	for _, s := range BenchSuites {
+		benches, err := s.Table()
 		if err != nil {
-			return fmt.Errorf("%s: %w", s.file, err)
+			return fmt.Errorf("%s: %w", s.File, err)
+		}
+		results := make([]BenchResult, len(benches))
+		for i, bn := range benches {
+			results[i] = toResult(bn.Name, testing.Benchmark(bn.Run))
 		}
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(dir, s.file)
+		path := filepath.Join(dir, s.File)
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}

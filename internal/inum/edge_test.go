@@ -75,10 +75,10 @@ func TestTemplateCapRespected(t *testing.T) {
 	}
 }
 
-// TestGammaInfeasibleMemoized: infeasible γ (wrong table, wrong order)
-// must be memoized as ∞ and stay infeasible.
-func TestGammaInfeasibleMemoized(t *testing.T) {
-	_, cache, _ := testSetup(t)
+// TestGammaInfeasibleOtherTable: an index on another table cannot
+// fill a slot, on every call, and asking costs no optimizer call.
+func TestGammaInfeasibleOtherTable(t *testing.T) {
+	eng, cache, _ := testSetup(t)
 	q := &workload.Query{
 		ID:     "e-inf",
 		Tables: []string{"orders"},
@@ -86,11 +86,14 @@ func TestGammaInfeasibleMemoized(t *testing.T) {
 	}
 	qi := cache.PrepareQuery(q)
 	wrongTable := &catalog.Index{Table: "lineitem", Key: []string{"l_shipdate"}}
-	if _, ok := cache.Gamma(qi, 0, 0, wrongTable); ok {
-		t.Fatal("index on another table cannot fill the slot")
+	calls := eng.WhatIfCalls()
+	for i := 0; i < 2; i++ {
+		if _, ok := cache.Gamma(qi, 0, 0, wrongTable); ok {
+			t.Fatalf("call %d: index on another table cannot fill the slot", i)
+		}
 	}
-	if _, ok := cache.Gamma(qi, 0, 0, wrongTable); ok {
-		t.Fatal("memoized infeasibility lost")
+	if eng.WhatIfCalls() != calls {
+		t.Fatal("Gamma must not invoke the optimizer")
 	}
 }
 

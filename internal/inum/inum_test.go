@@ -200,24 +200,27 @@ func TestLinearComposability(t *testing.T) {
 	}
 }
 
-func TestGammaMemoization(t *testing.T) {
+// TestGammaDeterministic: γ is recomputed on every call, so repeated
+// calls must agree bit for bit and none may invoke the optimizer.
+func TestGammaDeterministic(t *testing.T) {
 	eng, cache, _ := testSetup(t)
 	q := &workload.Query{
-		ID:     "i-memo",
+		ID:     "i-gamma",
 		Tables: []string{"orders"},
 		Select: []catalog.ColumnRef{ref("orders", "o_totalprice")},
 		Preds:  []workload.Predicate{{Col: ref("orders", "o_orderdate"), Op: workload.OpEq, Lo: 0.4}},
 	}
 	qi := cache.PrepareQuery(q)
-	ix := &catalog.Index{Table: "orders", Key: []string{"o_orderdate"}}
-	v1, ok1 := cache.Gamma(qi, 0, 0, ix)
 	calls := eng.WhatIfCalls()
-	v2, ok2 := cache.Gamma(qi, 0, 0, ix)
-	if v1 != v2 || ok1 != ok2 {
-		t.Fatalf("memoized gamma differs: %v/%v vs %v/%v", v1, ok1, v2, ok2)
+	for _, ix := range []*catalog.Index{nil, {Table: "orders", Key: []string{"o_orderdate"}}} {
+		v1, ok1 := cache.Gamma(qi, 0, 0, ix)
+		v2, ok2 := cache.Gamma(qi, 0, 0, ix)
+		if !ok1 || math.Float64bits(v1) != math.Float64bits(v2) || ok1 != ok2 {
+			t.Fatalf("gamma(%v) not deterministic: %v/%v vs %v/%v", ix, v1, ok1, v2, ok2)
+		}
 	}
 	if eng.WhatIfCalls() != calls {
-		t.Fatal("memoized Gamma must not invoke the optimizer")
+		t.Fatalf("Gamma made %d optimizer calls", eng.WhatIfCalls()-calls)
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 )
 
 // CostMatrix is the compiled, dense form of the INUM cost model for
-// one (workload, candidate set, baseline) triple. Where the map-based
-// path answers one γ_{qkia} probe at a time through a mutex-guarded
-// map keyed by index ID strings, the matrix flattens every γ into
-// contiguous float64 slabs with int32 slot→candidate compatibility
-// lists, so evaluating cost(q, X) is a branch-light walk over dense
-// memory with zero allocation, zero hashing and zero locking. BIPGen
-// and the ILP baseline's configuration enumeration both consume it;
-// the map path in Gamma/Cost remains as the reference implementation
-// the equivalence property test checks against.
+// one (workload, candidate set, baseline) triple. It computes every γ
+// once through Cache.Gamma and flattens them into contiguous float64
+// slabs with int32 slot→candidate compatibility lists, so evaluating
+// cost(q, X) for many configurations X is a branch-light walk over
+// dense memory with zero allocation, zero hashing and zero locking.
+// BIPGen and the ILP baseline's configuration enumeration both consume
+// it. Cache.Cost answers a single cost(q, X) by calling Cache.Gamma
+// directly over X's indexes; the equivalence property test holds the
+// two to 1e-9.
 type CostMatrix struct {
 	// S is the candidate universe; Compat entries are positions into S.
 	S []*catalog.Index
@@ -103,18 +103,18 @@ func (c *Cache) compileQuery(q *workload.Query, s []*catalog.Index, byTable map[
 			slot := &tpl.Slots[si]
 
 			free := math.Inf(1)
-			if g, ok := c.slotCost(qi, ti, si, nil); ok {
+			if g, ok := c.Gamma(qi, ti, si, nil); ok {
 				free = g
 			}
 			for _, bx := range baseline.OnTable(slot.Table) {
-				if g, ok := c.slotCost(qi, ti, si, bx); ok && g < free {
+				if g, ok := c.Gamma(qi, ti, si, bx); ok && g < free {
 					free = g
 				}
 			}
 			qm.SlotFree = append(qm.SlotFree, free)
 
 			for _, pos := range byTable[slot.Table] {
-				if g, ok := c.slotCost(qi, ti, si, s[pos]); ok {
+				if g, ok := c.Gamma(qi, ti, si, s[pos]); ok {
 					qm.Compat = append(qm.Compat, pos)
 					qm.Gamma = append(qm.Gamma, g)
 				}
@@ -126,10 +126,14 @@ func (c *Cache) compileQuery(q *workload.Query, s []*catalog.Index, byTable map[
 	return qm
 }
 
-// slotCost computes γ for one (template, slot, access method) without
-// touching the memo map — matrix compilation visits each γ exactly
-// once, so memoization would only add locking.
-func (c *Cache) slotCost(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
+// Gamma returns γ_{qkia}: the access cost of implementing slot si of
+// template ti with index ix (nil means I∅, the heap). The boolean is
+// false when the access method cannot implement the slot (γ = ∞; the
+// returned value is then meaningless). It is pure arithmetic over the
+// engine's cost model — no optimizer call, allocation or locking — so
+// it is cheap enough to recompute on every call: compileQuery and
+// Cache.Cost both call it directly, and nothing caches its results.
+func (c *Cache) Gamma(qi *QueryInfo, ti, si int, ix *catalog.Index) (float64, bool) {
 	s := &qi.Templates[ti].Slots[si]
 	switch s.Mode {
 	case SlotScan:

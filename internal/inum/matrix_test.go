@@ -41,10 +41,10 @@ func matrixCandidates(t *testing.T, w *workload.Workload) []*catalog.Index {
 	return out
 }
 
-// TestCostMatrixMatchesMapPath is the dense-vs-map equivalence
+// TestCostMatrixMatchesMapPath is the dense-vs-direct equivalence
 // property test: for randomized configurations X, the CostMatrix
-// evaluation of cost(q, X) must equal the reference map-based path
-// within 1e-9.
+// evaluation of cost(q, X) must equal Cache.Cost's direct walk over
+// X's indexes (both built on Cache.Gamma) within 1e-9.
 func TestCostMatrixMatchesMapPath(t *testing.T) {
 	_, cache, base := testSetup(t)
 	w := workload.Hom(workload.HomConfig{Queries: 15, Seed: 421})
@@ -78,15 +78,15 @@ func TestCostMatrixMatchesMapPath(t *testing.T) {
 			ref, err := cache.Cost(q, cfg)
 			if err != nil {
 				if dok {
-					t.Fatalf("%s: map path infeasible but dense path returned %v", q.ID, dense)
+					t.Fatalf("%s: direct path infeasible but dense path returned %v", q.ID, dense)
 				}
 				continue
 			}
 			if !dok {
-				t.Fatalf("%s: dense path infeasible but map path returned %v", q.ID, ref)
+				t.Fatalf("%s: dense path infeasible but direct path returned %v", q.ID, ref)
 			}
 			if math.Abs(dense-ref) > 1e-9*math.Max(1, math.Abs(ref)) {
-				t.Fatalf("%s: dense cost %v != map cost %v (p=%v)", q.ID, dense, ref, p)
+				t.Fatalf("%s: dense cost %v != direct cost %v (p=%v)", q.ID, dense, ref, p)
 			}
 			checked++
 		}

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -442,9 +441,4 @@ func (m *Model) blockPrimal(bi int, selected []bool) (float64, bool) {
 		return 0, false
 	}
 	return best, true
-}
-
-// sortTermsByIndex canonicalizes constraint terms (test convenience).
-func sortTermsByIndex(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Index < ts[j].Index })
 }

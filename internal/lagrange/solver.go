@@ -116,8 +116,8 @@ type Result struct {
 	Iters int
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
-	// NumericFallbacks counts z-subproblem LP solves that fell back to
-	// the dense oracle after a numerical failure in the sparse simplex
+	// NumericFallbacks counts z-subproblem LP solves that hit a
+	// numerical failure and were finished by a cold re-solve
 	// (budget-charged, see lp.Solution.NumericFallback); surfaced so
 	// the daemon's /stats makes flaky bases visible instead of silent.
 	NumericFallbacks int

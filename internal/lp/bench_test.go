@@ -3,10 +3,11 @@ package lp
 import "testing"
 
 // BenchmarkSolveSparseVsDense pits the revised simplex against the
-// dense tableau oracle on identical BIP-shaped instances (the shared
-// BenchBIPShapes families). The acceptance bar is ≥3× on the
-// constraint-rich shape; results are exported to BENCH_lp.json by
-// `experiments -bench-json`.
+// test-only dense tableau oracle on identical BIP-shaped instances
+// (the shared BenchBIPShapes families). The acceptance bar is ≥3× on
+// the constraint-rich shape. Only the sparse side is exported to
+// BENCH_lp.json (SolveSparse/*, by `experiments -bench-json`); the
+// ratio is measured here.
 func BenchmarkSolveSparseVsDense(b *testing.B) {
 	for _, sh := range BenchBIPShapes {
 		var probs []*Problem

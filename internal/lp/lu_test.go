@@ -87,11 +87,11 @@ func TestDegenerateCyclingRegression(t *testing.T) {
 	}
 }
 
-// TestDenseRescueChargesBudget: the mid-solve numeric fallback must
-// charge the pivots the sparse attempt already spent against the
+// TestSparseRescueChargesBudget: the mid-solve numeric fallback must
+// charge the pivots the failed attempt already spent against the
 // caller's iteration budget — a bounded request is never silently
 // given a fresh allowance — and must mark the Solution.
-func TestDenseRescueChargesBudget(t *testing.T) {
+func TestSparseRescueChargesBudget(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObj(0, -1)
 	p.SetBounds(0, 0, 1)
@@ -99,20 +99,20 @@ func TestDenseRescueChargesBudget(t *testing.T) {
 	p.AddRow([]Coef{{0, 1}, {1, 1}}, LE, 1)
 
 	// Per-phase budget fully spent before the failure: the rescue may
-	// not run at all — IterLimit, not a free dense solve.
-	sol := denseRescue(p, 10, 10, 10, nil, newSpx(p), 0, 0)
+	// not run at all — IterLimit, not a free re-solve.
+	sol := sparseRescue(p, 10, 10, Solution{Iters: 10})
 	if sol.Status != IterLimit || !sol.NumericFallback || sol.Iters != 10 {
 		t.Fatalf("exhausted rescue: %+v", sol)
 	}
-	sol = denseRescue(p, 10, 12, 12, nil, newSpx(p), 0, 0)
+	sol = sparseRescue(p, 10, 12, Solution{Iters: 12})
 	if sol.Status != IterLimit || sol.Iters != 12 {
 		t.Fatalf("over-spent rescue: %+v", sol)
 	}
 
-	// The budget is per phase (SolveWithLimit's contract): two sparse
-	// phases may spend 7 each against maxIters=10 without exceeding
-	// it, and the rescue still runs on the 3 per phase that remain.
-	sol = denseRescue(p, 10, 7, 14, nil, newSpx(p), 0, 0)
+	// The budget is per phase (SolveWithLimit's contract): two phases
+	// may spend 7 each against maxIters=10 without exceeding it, and
+	// the rescue still runs on the 3 per phase that remain.
+	sol = sparseRescue(p, 10, 7, Solution{Iters: 14})
 	if sol.Status != Optimal || !sol.NumericFallback {
 		t.Fatalf("per-phase rescue: %+v", sol)
 	}
@@ -120,10 +120,10 @@ func TestDenseRescueChargesBudget(t *testing.T) {
 		t.Fatalf("spent pivots not charged: iters %d", sol.Iters)
 	}
 
-	// Remaining budget: the dense oracle finishes, total iterations
-	// include the sparse pivots already spent, and the fallback is
-	// visible on the solution.
-	sol = denseRescue(p, 1000, 7, 7, nil, newSpx(p), 0, 0)
+	// Remaining budget: the cold re-solve finishes, total iterations
+	// include the pivots already spent, and the fallback is visible on
+	// the solution.
+	sol = sparseRescue(p, 1000, 7, Solution{Iters: 7})
 	if sol.Status != Optimal || !sol.NumericFallback {
 		t.Fatalf("rescue with budget: %+v", sol)
 	}
@@ -133,10 +133,65 @@ func TestDenseRescueChargesBudget(t *testing.T) {
 	if sol.WarmDowngraded {
 		t.Fatal("rescue invented a downgrade")
 	}
-	down := newSpx(p)
-	down.downgraded = true
-	if got := denseRescue(p, 1000, 7, 7, nil, down, 0, 0); !got.WarmDowngraded {
+	if got := sparseRescue(p, 1000, 7, Solution{Iters: 7, WarmDowngraded: true}); !got.WarmDowngraded {
 		t.Fatal("rescue dropped the downgrade flag")
+	}
+
+	// The re-solve fails numerically too: no point is trusted, the
+	// result is IterLimit with neither X nor Basis, and the fallback
+	// is still reported.
+	numericFault = func(int) bool { return true }
+	defer func() { numericFault = nil }()
+	sol = SolveWithLimit(p, 1000)
+	if sol.Status != IterLimit || sol.X != nil || sol.Basis != nil || !sol.NumericFallback {
+		t.Fatalf("double numeric failure: %+v", sol)
+	}
+}
+
+// TestSparseRescueMatchesDense forces a numeric failure after phase 1,
+// and separately after phase 2, of every oracle instance: the cold
+// re-solve that finishes the problem must agree with the dense oracle
+// on status and objective, exactly as an unfaulted solve does.
+func TestSparseRescueMatchesDense(t *testing.T) {
+	defer func() { numericFault = nil }()
+	for _, phase := range []int{1, 2} {
+		rescued := 0
+		for seed := int64(0); seed < 1000; seed++ {
+			p := oracleInstance(seed)
+			armed := true
+			numericFault = func(ph int) bool {
+				if armed && ph == phase {
+					armed = false
+					return true
+				}
+				return false
+			}
+			sp := Solve(p)
+			numericFault = nil
+			dn := SolveDense(p)
+			if sp.Status != dn.Status {
+				t.Fatalf("phase %d seed %d: rescued %v vs dense %v", phase, seed, sp.Status, dn.Status)
+			}
+			if sp.Status == Optimal {
+				tol := 1e-6 * math.Max(1, math.Abs(dn.Obj))
+				if math.Abs(sp.Obj-dn.Obj) > tol {
+					t.Fatalf("phase %d seed %d: rescued obj %v vs dense obj %v", phase, seed, sp.Obj, dn.Obj)
+				}
+				if !p.Feasible(sp.X, 1e-6) {
+					t.Fatalf("phase %d seed %d: rescued solution infeasible", phase, seed)
+				}
+			}
+			if !armed {
+				if !sp.NumericFallback {
+					t.Fatalf("phase %d seed %d: forced failure not reported", phase, seed)
+				}
+				rescued++
+			}
+		}
+		if rescued == 0 {
+			t.Fatalf("phase %d: no solve reached the rescue", phase)
+		}
+		t.Logf("phase %d: %d of 1000 solves rescued", phase, rescued)
 	}
 }
 

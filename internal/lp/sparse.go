@@ -68,11 +68,17 @@ var degenStallBase = 100
 // pricing falls back to Bland's rule (anti-cycling guard).
 func degenStall(m int) int { return degenStallBase + 2*m }
 
+// numericFault, when set, replaces the status of a finished simplex
+// phase (1 or 2) with statusNumeric whenever it returns true. Nil in
+// production; the rescue tests set it to reach the numeric-failure
+// path on instances whose factorizations never actually degrade.
+var numericFault func(phase int) bool
+
 // statusNumeric is an internal sentinel: a mid-solve refactorization
 // could not reproduce a feasible basis (a dependent column was
 // dropped, or the exact basic-value recompute exposed violations).
-// solveSparse responds by handing the problem to the dense oracle —
-// charged against the remaining iteration budget — rather than ever
+// solveSparse responds with one cold re-solve on a fresh factorization
+// — charged against the remaining iteration budget — rather than ever
 // returning Optimal on an infeasible point.
 const statusNumeric Status = -1
 
@@ -135,68 +141,76 @@ type spx struct {
 }
 
 func solveSparse(p *Problem, maxIters int, warm *Basis) Solution {
+	sol, spentMax := solveOnce(p, maxIters, warm)
+	if sol.Status != statusNumeric {
+		return sol
+	}
+	return sparseRescue(p, maxIters, spentMax, sol)
+}
+
+// solveOnce runs both simplex phases on a fresh working state. On a
+// numeric failure it returns Status statusNumeric with no X or Basis;
+// spentMax is the most pivots any one phase spent.
+func solveOnce(p *Problem, maxIters int, warm *Basis) (sol Solution, spentMax int) {
 	s := newSpx(p)
 	s.install(warm)
 	t1 := time.Now()
 	st, iters1 := s.phase1(maxIters)
-	p1 := time.Since(t1)
-	if st == statusNumeric {
-		return denseRescue(p, maxIters, iters1, iters1, warm, s, p1, 0)
+	if numericFault != nil && numericFault(1) {
+		st = statusNumeric
 	}
-	if st != Optimal {
-		return Solution{Status: st, Iters: iters1, WarmDowngraded: s.downgraded,
-			Phase1Dur: p1, FactorDur: s.factorDur, Refactors: s.refactors}
-	}
-	t2 := time.Now()
-	st, iters2 := s.phase2(maxIters)
-	p2 := time.Since(t2)
-	if st == statusNumeric {
-		spentMax := iters1
-		if iters2 > spentMax {
-			spentMax = iters2
+	sol = Solution{Status: st, Iters: iters1, WarmDowngraded: s.downgraded, Phase1Dur: time.Since(t1)}
+	spentMax = iters1
+	if st == Optimal {
+		t2 := time.Now()
+		var iters2 int
+		st, iters2 = s.phase2(maxIters)
+		if numericFault != nil && numericFault(2) {
+			st = statusNumeric
 		}
-		return denseRescue(p, maxIters, spentMax, iters1+iters2, warm, s, p1, p2)
+		sol.Status, sol.Iters, sol.Phase2Dur = st, iters1+iters2, time.Since(t2)
+		if st != statusNumeric {
+			sol.X = s.extract()
+			for j := 0; j < p.cols; j++ {
+				sol.Obj += p.obj[j] * sol.X[j]
+			}
+			sol.Basis = s.captureBasis()
+		}
+		spentMax = max(iters1, iters2)
 	}
-	x := s.extract()
-	obj := 0.0
-	for j := 0; j < p.cols; j++ {
-		obj += p.obj[j] * x[j]
-	}
-	return Solution{
-		Status: st, X: x, Obj: obj, Iters: iters1 + iters2,
-		Basis: s.captureBasis(), WarmDowngraded: s.downgraded,
-		Phase1Dur: p1, Phase2Dur: p2, FactorDur: s.factorDur, Refactors: s.refactors,
-	}
+	sol.FactorDur, sol.Refactors = s.factorDur, s.refactors
+	return sol, spentMax
 }
 
-// denseRescue hands a numerically failed sparse solve to the dense
-// tableau oracle. The pivots the sparse attempt already spent are
-// charged against the caller's budget — a bounded request is never
-// silently given a fresh allowance — and the fallback is reported on
-// the Solution so callers can count it. The budget contract is
-// per-phase (see SolveWithLimit), so the rescue's per-phase allowance
-// is maxIters minus the most any sparse phase spent (spentMax); a
-// phase that exhausts its budget returns IterLimit rather than
-// statusNumeric, so at a genuine numeric failure the remainder is
-// positive and the rescue always runs. Iters reports total pivots:
-// everything the sparse attempt burned (spentTotal) plus the dense
-// finish.
-func denseRescue(p *Problem, maxIters, spentMax, spentTotal int, warm *Basis, s *spx, spent1, spent2 time.Duration) Solution {
-	remaining := maxIters - spentMax
-	if remaining <= 0 {
-		return Solution{Status: IterLimit, Iters: spentTotal, NumericFallback: true, WarmDowngraded: s.downgraded,
-			Phase1Dur: spent1, Phase2Dur: spent2, FactorDur: s.factorDur, Refactors: s.refactors}
+// sparseRescue finishes a numerically failed solve with one cold
+// re-solve on a fresh factorization (warm basis dropped: it is the
+// likeliest source of the failure). The pivots the failed attempt
+// already spent are charged against the caller's budget — a bounded
+// request is never silently given a fresh allowance — and the
+// fallback is reported on the Solution so callers can count it. The
+// budget contract is per-phase (see SolveWithLimit), so the re-solve's
+// per-phase allowance is maxIters minus the most any failed phase
+// spent (spentMax). Iters reports total pivots: everything the failed
+// attempt burned plus the re-solve. If the re-solve fails numerically
+// too, the result is IterLimit with no X and no Basis — callers treat
+// that as "stop; the proven bound stands".
+func sparseRescue(p *Problem, maxIters, spentMax int, failed Solution) Solution {
+	sol := Solution{Status: IterLimit}
+	if remaining := maxIters - spentMax; remaining > 0 {
+		sol, _ = solveOnce(p, remaining, nil)
+		if sol.Status == statusNumeric {
+			sol.Status = IterLimit
+		}
 	}
-	sol := solveFrom(p, remaining, warm)
-	sol.Iters += spentTotal
+	sol.Iters += failed.Iters
 	sol.NumericFallback = true
-	sol.WarmDowngraded = s.downgraded
-	// The failed sparse attempt's phase time is real solve time: charge
-	// it on top of the dense finish so the breakdown sums to the wall.
-	sol.Phase1Dur += spent1
-	sol.Phase2Dur += spent2
-	sol.FactorDur += s.factorDur
-	sol.Refactors += s.refactors
+	sol.WarmDowngraded = failed.WarmDowngraded
+	// The failed attempt's phase time is real solve time: charge it on
+	// top of the re-solve so the breakdown sums to the wall.
+	sol.Phase1Dur += failed.Phase1Dur
+	sol.Phase2Dur += failed.Phase2Dur
+	sol.FactorDur += failed.FactorDur
+	sol.Refactors += failed.Refactors
 	return sol
 }
 

@@ -11,6 +11,11 @@ func bipShaped(seed int64, nz, blocks, sideRows int, fix bool) *Problem {
 	return RandomBIPShaped(seed, nz, blocks, sideRows, fix)
 }
 
+// oracleInstance is instance seed of the 1000-instance oracle suite.
+func oracleInstance(seed int64) *Problem {
+	return bipShaped(seed, 3+int(seed%8), 2+int(seed%5), int(seed%7), seed%3 == 0)
+}
+
 // TestSparseMatchesDenseOracle pins the revised simplex against the
 // dense tableau oracle on ≥1000 randomized BIP-shaped instances:
 // statuses must agree exactly, objectives within 1e-6, and the sparse
@@ -20,10 +25,7 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 	const trials = 1000
 	optimal, infeasible := 0, 0
 	for seed := int64(0); seed < trials; seed++ {
-		nz := 3 + int(seed%8)
-		blocks := 2 + int(seed%5)
-		side := int(seed % 7)
-		p := bipShaped(seed, nz, blocks, side, seed%3 == 0)
+		p := oracleInstance(seed)
 
 		sp := Solve(p)
 		dn := SolveDense(p)
@@ -45,8 +47,8 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 			}
 			if sp.NumericFallback {
 				// The pin must exercise the LU path itself, not a
-				// silent dense rescue pretending to be it.
-				t.Fatalf("seed %d: sparse solve fell back to the dense oracle", seed)
+				// silent cold re-solve pretending to be it.
+				t.Fatalf("seed %d: sparse solve hit the numeric fallback", seed)
 			}
 			// Basis round-trip: warm re-solve reproduces the optimum,
 			// with the warm basis adopted faithfully.

@@ -728,8 +728,9 @@ type Stats struct {
 	PrepCalls       int64 `json:"prep_calls"`
 	EvictedEntries  int64 `json:"evicted_entries"`
 	// NumericFallbacks counts LP solves (across all recommendations)
-	// that hit a numerical failure in the sparse simplex and were
-	// rescued by the dense oracle on the remaining iteration budget;
+	// that hit a numerical failure and were finished by one cold
+	// re-solve on a fresh factorization, on the remaining iteration
+	// budget;
 	// WarmDowngrades counts warm bases numerically defeated into cold
 	// installs. Nonzero values mean the solver is paying for flaky
 	// bases — visible here instead of silently doubling solve work.

@@ -29,7 +29,7 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 	d.evicted = reg.Counter("cophyd_evicted_entries_total",
 		"INUM cache entries dropped by stream eviction.")
 	d.numFallbacks = reg.Counter("cophyd_numeric_fallbacks_total",
-		"LP solves rescued by the dense oracle after a numerical failure.")
+		"LP solves finished by a cold re-solve after a numerical failure.")
 	d.warmDowngrades = reg.Counter("cophyd_warm_downgrades_total",
 		"Warm LP bases numerically defeated into cold installs.")
 	d.rebases = reg.Counter("cophyd_session_rebases_total",

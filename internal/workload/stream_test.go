@@ -172,7 +172,9 @@ func TestStreamObserveBatchAtomic(t *testing.T) {
 	}
 
 	st := NewStream(StreamConfig{})
-	done := make(chan struct{})
+	// ready closes after the reader's first snapshot, so the writer
+	// cannot apply every batch before the reader is scheduled.
+	ready, done := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	var bad []string
 	wg.Add(1)
@@ -188,6 +190,9 @@ func TestStreamObserveBatchAtomic(t *testing.T) {
 			default:
 			}
 			w := st.Snapshot()
+			if snaps == 0 {
+				close(ready)
+			}
 			var tick int
 			if _, err := fmt.Sscanf(w.Name, "stream@%d", &tick); err != nil {
 				bad = append(bad, err.Error())
@@ -199,6 +204,7 @@ func TestStreamObserveBatchAtomic(t *testing.T) {
 			}
 		}
 	}()
+	<-ready
 	for _, b := range batches {
 		st.ObserveBatch(b)
 	}
