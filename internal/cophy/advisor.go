@@ -73,8 +73,9 @@ type Result struct {
 	// Nodes counts branch-and-bound nodes beyond the root.
 	Nodes int
 	// NumericFallbacks and WarmDowngrades surface the LP substrate's
-	// numerical-trouble counters (dense-oracle rescues and defeated
-	// warm bases) for the daemon's /stats.
+	// numerical-trouble counters (numeric failures finished by a cold
+	// sparse re-solve, and defeated warm bases) for the daemon's
+	// /stats.
 	NumericFallbacks int
 	WarmDowngrades   int
 	// Times is the INUM/build/solve breakdown of Figures 5 and 10.
@@ -90,27 +91,10 @@ type Result struct {
 }
 
 // Recommend runs one full tuning session: INUM preparation, BIP
-// construction, feasibility check, Lagrangian relaxation and solve.
+// construction, feasibility check, Lagrangian relaxation and solve —
+// the first, cold Solve of a fresh Session.
 func (ad *Advisor) Recommend(w *workload.Workload, s []*catalog.Index, cons Constraints) (*Result, error) {
-	inst := ad.instance(w, s)
-
-	t0 := time.Now()
-	ad.Inum.Prepare(w)
-	inumTime := time.Since(t0)
-
-	t1 := time.Now()
-	model, err := BuildModel(inst)
-	if err != nil {
-		return nil, err
-	}
-	if err := applyConstraints(inst, model, cons); err != nil {
-		return nil, err
-	}
-	buildTime := time.Since(t1)
-
-	res, solveTime := ad.solve(inst, model, nil, nil)
-	res.Times = Timings{INUM: inumTime, Build: buildTime, Solve: solveTime}
-	return res, nil
+	return ad.NewSession(w, s, cons).Solve()
 }
 
 // instance assembles the problem instance with the baseline X0.
@@ -124,14 +108,8 @@ func (ad *Advisor) instance(w *workload.Workload, s []*catalog.Index) *Instance 
 	return &Instance{Cat: ad.Cat, Eng: ad.Eng, Inum: ad.Inum, Workload: w, S: s, Baseline: base}
 }
 
-// solve runs Figure 3: feasibility screen, relax(B) (inside the
-// Lagrangian solver) and the bounded search, stopping at the advisor's
-// gap tolerance.
-func (ad *Advisor) solve(inst *Instance, model *lagrange.Model, warm *lagrange.Multipliers, start []bool) (*Result, time.Duration) {
-	return ad.solveWith(context.Background(), inst, model, warm, start, ad.Opts.GapTol)
-}
-
-// solveWith is solve with an explicit context and gap tolerance; warm
+// solveWith runs Figure 3: feasibility screen, relax(B) (inside the
+// Lagrangian solver) and the bounded search, stopping at gapTol. Warm
 // re-solves relax the tolerance to the gap the DBA already accepted in
 // the previous session, and the context's deadline tightens the
 // solver's TimeLimit so a bounded request never outlives its caller.
@@ -232,12 +210,11 @@ type Session struct {
 	w    *workload.Workload
 	cons Constraints
 	s    []*catalog.Index
+	// last is the warm state the next solve starts from: the last
+	// successful result, or the recovered dual state, incumbent and
+	// accepted gap that RestoreSession installs. Infeasible results
+	// are never stored.
 	last *Result
-	// seed is a recovered warm start (dual state, incumbent, accepted
-	// gap) installed by RestoreSession: the first solve of a restarted
-	// daemon adopts it exactly as it would the previous in-process
-	// solve, then the session's own results take over.
-	seed *SessionState
 	// memo is BIPGen's per-statement memo from the last build, so a
 	// re-solve recompiles only the statements that changed.
 	memo *bipMemo
@@ -265,49 +242,39 @@ type SessionState struct {
 }
 
 // ExportState captures the session's warm state, or nil when there is
-// nothing warm to carry (no successful solve and no unconsumed seed).
+// nothing warm to carry (no successful solve and nothing restored).
 func (se *Session) ExportState() *SessionState {
-	if se.last != nil && !se.last.Infeasible {
-		sel := make([]bool, len(se.s))
-		copy(sel, se.last.Selected)
-		return &SessionState{
-			Candidates: append([]*catalog.Index(nil), se.s...),
-			Duals:      se.last.Lambda.Export(),
-			Selected:   sel,
-			Gap:        se.last.Gap,
-		}
+	if se.last == nil {
+		return nil
 	}
-	if se.seed != nil {
-		sel := make([]bool, len(se.s))
-		copy(sel, se.seed.Selected)
-		return &SessionState{
-			Candidates: append([]*catalog.Index(nil), se.s...),
-			Duals:      se.seed.Duals,
-			Selected:   sel,
-			Gap:        se.seed.Gap,
-		}
+	sel := make([]bool, len(se.s))
+	copy(sel, se.last.Selected)
+	return &SessionState{
+		Candidates: append([]*catalog.Index(nil), se.s...),
+		Duals:      se.last.Lambda.Export(),
+		Selected:   sel,
+		Gap:        se.last.Gap,
 	}
-	return nil
 }
 
 // RestoreSession rebuilds a session from persisted warm state: the
-// candidate positions come from the state (so the dual sites' index
+// candidate positions come from the state (so the multipliers' index
 // keys stay meaningful) and the first solve warm-starts from the
-// recovered multipliers and incumbent.
+// recovered multipliers and incumbent exactly as it would from the
+// previous in-process solve.
 func (ad *Advisor) RestoreSession(w *workload.Workload, state *SessionState, cons Constraints) *Session {
 	se := ad.NewSession(w, state.Candidates, cons)
-	se.seed = state
+	se.last = &Result{Lambda: lagrange.ImportDual(state.Duals), Selected: state.Selected, Gap: state.Gap}
 	return se
 }
 
-// Compact rebases the session onto a new candidate set — the live
+// Compact moves the session onto a new candidate set — the live
 // candidates, typically much smaller than the accumulated append-only
-// set — while carrying the warm state across: surviving candidates'
+// set — while carrying any warm state across: surviving candidates'
 // multipliers are remapped to their new positions (blocks still matched
-// by statement label), dropped candidates' sites are discarded, and the
-// incumbent keeps its surviving choices. This is the policy slice the
-// ROADMAP asked for: a session whose dead candidates dominate no longer
-// needs a cold re-session to shed them.
+// by statement label), dropped candidates' multipliers are discarded,
+// and the incumbent keeps its surviving choices. On a cold session it
+// is exactly a fresh session over the live candidates.
 func (se *Session) Compact(live []*catalog.Index) {
 	seen := make(map[string]int32, len(live))
 	news := make([]*catalog.Index, 0, len(live))
@@ -325,29 +292,18 @@ func (se *Session) Compact(live []*catalog.Index) {
 			perm[i] = -1
 		}
 	}
-	remapSel := func(sel []bool) []bool {
-		out := make([]bool, len(news))
-		for i, on := range sel {
-			if on && i < len(perm) && perm[i] >= 0 {
-				out[perm[i]] = true
-			}
-		}
-		return out
-	}
 	se.s = news
 	se.memo = nil // positions moved: every entry is stale
-	if se.last != nil && !se.last.Infeasible {
+	if se.last != nil {
 		cp := *se.last
 		cp.Lambda = cp.Lambda.Remap(perm)
-		cp.Selected = remapSel(se.last.Selected)
-		se.last = &cp
-	} else if se.seed != nil {
-		se.seed = &SessionState{
-			Candidates: news,
-			Duals:      lagrange.ImportDual(se.seed.Duals).Remap(perm).Export(),
-			Selected:   remapSel(se.seed.Selected),
-			Gap:        se.seed.Gap,
+		cp.Selected = make([]bool, len(news))
+		for i, on := range se.last.Selected {
+			if on && i < len(perm) && perm[i] >= 0 {
+				cp.Selected[perm[i]] = true
+			}
 		}
+		se.last = &cp
 	}
 }
 
@@ -387,10 +343,10 @@ func (se *Session) SetWorkload(w *workload.Workload) { se.w = w }
 func (se *Session) Workload() *workload.Workload { return se.w }
 
 // Warm reports whether the next Solve will reuse previous session
-// state (incumbent MIP start and dual warm start) — either this
-// session's own last result or a recovered seed. Infeasible results
+// state (incumbent MIP start and dual warm start) — this session's own
+// last result or the state RestoreSession recovered. Infeasible results
 // are not retained, so a failed solve leaves the session cold.
-func (se *Session) Warm() bool { return se.last != nil || se.seed != nil }
+func (se *Session) Warm() bool { return se.last != nil }
 
 // Solve computes (or recomputes) the recommendation. The first call
 // pays INUM preparation and a cold solve; later calls are warm.
@@ -449,19 +405,11 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 			gapTol = math.Min(g, 2*ad.Opts.GapTol)
 		}
 	}
-	if se.last != nil && !se.last.Infeasible {
+	if se.last != nil {
 		warm = se.last.Lambda
 		start = make([]bool, len(se.s))
 		copy(start, se.last.Selected) // appended candidates start off
 		relaxTo(se.last.Gap)
-	} else if se.seed != nil {
-		// Recovered warm state: the persisted duals and incumbent of
-		// the pre-restart session, adopted exactly like an in-process
-		// warm start.
-		warm = lagrange.ImportDual(se.seed.Duals)
-		start = make([]bool, len(se.s))
-		copy(start, se.seed.Selected)
-		relaxTo(se.seed.Gap)
 	}
 	res, solveTime := ad.solveWith(ctx, inst, model, warm, start, gapTol)
 	if err := ctx.Err(); err != nil {
@@ -477,7 +425,6 @@ func (se *Session) SolveCtx(ctx context.Context) (*Result, error) {
 	}
 	if !res.Infeasible {
 		se.last = res
-		se.seed = nil // the session's own state supersedes the recovered seed
 	}
 	return res, nil
 }

@@ -87,10 +87,6 @@ type updateCosts struct {
 // recomputed, in workload order, from the current statements.
 func buildModel(inst *Instance, prev *bipMemo) (*lagrange.Model, *bipMemo, error) {
 	m := lagrange.NewModel(len(inst.S))
-	// Slots within one template access distinct tables, so an index
-	// never fills two slots of one choice — the solver may aggregate
-	// its multipliers per query for a stronger relax(B) bound.
-	m.DistinctPerChoice = true
 	for i, ix := range inst.S {
 		t := inst.Cat.Table(ix.Table)
 		if t == nil {

@@ -37,8 +37,8 @@ func TestBuildModelShape(t *testing.T) {
 	if len(m.Blocks) != len(queries) {
 		t.Fatalf("blocks = %d, queries(+shells) = %d", len(m.Blocks), len(queries))
 	}
-	if !m.DistinctPerChoice {
-		t.Fatal("CoPhy models must assert DistinctPerChoice")
+	if err := m.Validate(); err != nil {
+		t.Fatalf("CoPhy model must validate (no index in two slots of one choice): %v", err)
 	}
 	// Sizes positive; every block has a choice evaluable with I∅ only.
 	for a := 0; a < m.NumIndexes; a++ {
@@ -148,7 +148,6 @@ func TestFreeOptionNeverWorseThanBaselineCost(t *testing.T) {
 // the public Evaluate on a single-block copy.
 func mBlockPrimal(m *lagrange.Model, bi int, sel []bool) (float64, bool) {
 	single := lagrange.NewModel(m.NumIndexes)
-	single.DistinctPerChoice = m.DistinctPerChoice
 	copy(single.Size, m.Size)
 	single.Blocks = []lagrange.Block{m.Blocks[bi]}
 	v, ok := single.Evaluate(sel)

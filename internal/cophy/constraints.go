@@ -58,23 +58,6 @@ func MinKeyCols(n int) IndexFilter {
 	return func(ix *catalog.Index) bool { return len(ix.Key) >= n }
 }
 
-// HasColumn matches indexes storing the column as key or include.
-func HasColumn(col string) IndexFilter {
-	return func(ix *catalog.Index) bool {
-		for _, k := range ix.Key {
-			if k == col {
-				return true
-			}
-		}
-		for _, c := range ix.Include {
-			if c == col {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // Clustered matches clustered indexes.
 func Clustered() IndexFilter {
 	return func(ix *catalog.Index) bool { return ix.Clustered }

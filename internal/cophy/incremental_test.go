@@ -71,8 +71,7 @@ func driftBatch(t *testing.T, cat *catalog.Catalog, r *rand.Rand, shapes []strin
 // drifting stream: statements arrive, decay and are evicted; UPDATEs
 // come and go; candidates appear on tables already in use and on fresh
 // ones; DBA candidates join; the session is compacted, replaced by a
-// fresh one (the daemon's rebase under its candidate cap) and restored
-// from exported state. At every step the
+// fresh one and restored from exported state. At every step the
 // session's model must be deeply equal to a fresh BuildModel of the
 // same instance and the memoized candidate list equal to Candidates.
 func TestIncrementalBuildModelBitIdentical(t *testing.T) {
@@ -91,11 +90,11 @@ func TestIncrementalBuildModelBitIdentical(t *testing.T) {
 	// Phases start at steps 6, 16 and 26, each with one statement of
 	// its first shape, so candidates are appended to a session whose
 	// memo holds the statements they concern; compactions, restores and
-	// rebases fall on other steps.
+	// fresh sessions fall on other steps.
 	r := rand.New(rand.NewSource(7))
 	stream := workload.NewStream(workload.StreamConfig{HalfLife: 3, MinWeight: 0.2})
 	var se *Session
-	reused, compacted, rebased, restored := 0, 0, 0, 0
+	reused, compacted, fresh, restored := 0, 0, 0, 0
 	for step := 0; step < 48; step++ {
 		phase := min((step+4)/10, len(driftTemplates)-1)
 		batch := driftBatch(t, cat, r, driftShapes(phase), 1+r.Intn(4))
@@ -112,10 +111,9 @@ func TestIncrementalBuildModelBitIdentical(t *testing.T) {
 
 		switch {
 		case se == nil || step%13 == 11:
-			// A fresh session, as the daemon's rebase under its
-			// candidate cap starts one.
+			// A fresh session, as Advisor.Recommend starts one.
 			if se != nil {
-				rebased++
+				fresh++
 			}
 			se = ad.NewSession(w, cands, cons)
 		case step%11 == 8:
@@ -173,10 +171,10 @@ func TestIncrementalBuildModelBitIdentical(t *testing.T) {
 			t.Fatalf("step %d: the session's own build left a different memo", step)
 		}
 	}
-	t.Logf("blocks reused=%d compactions=%d rebases=%d restores=%d", reused, compacted, rebased, restored)
-	if reused == 0 || compacted == 0 || rebased == 0 || restored == 0 {
-		t.Fatalf("drift did not exercise every path: reused=%d compacted=%d rebased=%d restored=%d",
-			reused, compacted, rebased, restored)
+	t.Logf("blocks reused=%d compactions=%d fresh=%d restores=%d", reused, compacted, fresh, restored)
+	if reused == 0 || compacted == 0 || fresh == 0 || restored == 0 {
+		t.Fatalf("drift did not exercise every path: reused=%d compacted=%d fresh=%d restored=%d",
+			reused, compacted, fresh, restored)
 	}
 }
 

@@ -1,16 +1,13 @@
 package lagrange
 
-// DualSite is the portable form of one multiplier use site: the
-// (choice, slot, index) key the solver matches warm starts by, plus the
-// multiplier value. Index is the candidate position in the exporting
-// model's numbering; consumers that persist dual state across candidate
-// renumbering remap it with Multipliers.Remap. Under DistinctPerChoice
-// aggregation Choice and Slot are −1, exactly as the solver keys them.
+// DualSite is the portable form of one multiplier: the index whose
+// block-wide linking multiplier it is, plus its value. Index is the
+// candidate position in the exporting model's numbering; consumers that
+// persist dual state across candidate renumbering remap it with
+// Multipliers.Remap.
 type DualSite struct {
-	Choice int32   `json:"choice"`
-	Slot   int32   `json:"slot"`
-	Index  int32   `json:"index"`
-	Value  float64 `json:"value"`
+	Index int32   `json:"index"`
+	Value float64 `json:"value"`
 }
 
 // DualBlock is the portable form of one block's multipliers, carrying
@@ -28,14 +25,14 @@ func (m *Multipliers) Export() []DualBlock {
 	if m == nil {
 		return nil
 	}
-	out := make([]DualBlock, len(m.keys))
-	for bi := range m.keys {
-		b := DualBlock{Sites: make([]DualSite, len(m.keys[bi]))}
+	out := make([]DualBlock, len(m.idx))
+	for bi := range m.idx {
+		b := DualBlock{Sites: make([]DualSite, len(m.idx[bi]))}
 		if m.ids != nil {
 			b.ID = m.ids[bi]
 		}
-		for k, key := range m.keys[bi] {
-			b.Sites[k] = DualSite{Choice: key.choice, Slot: key.slot, Index: key.index, Value: m.vals[bi][k]}
+		for k, a := range m.idx[bi] {
+			b.Sites[k] = DualSite{Index: a, Value: m.vals[bi][k]}
 		}
 		out[bi] = b
 	}
@@ -52,7 +49,7 @@ func ImportDual(blocks []DualBlock) *Multipliers {
 	}
 	m := &Multipliers{
 		ids:  make([]string, len(blocks)),
-		keys: make([][]siteKey, len(blocks)),
+		idx:  make([][]int32, len(blocks)),
 		vals: make([][]float64, len(blocks)),
 	}
 	labeled := false
@@ -61,13 +58,12 @@ func ImportDual(blocks []DualBlock) *Multipliers {
 		if b.ID != "" {
 			labeled = true
 		}
-		keys := make([]siteKey, len(b.Sites))
+		idx := make([]int32, len(b.Sites))
 		vals := make([]float64, len(b.Sites))
 		for k, site := range b.Sites {
-			keys[k] = siteKey{choice: site.Choice, slot: site.Slot, index: site.Index}
-			vals[k] = site.Value
+			idx[k], vals[k] = site.Index, site.Value
 		}
-		m.keys[bi], m.vals[bi] = keys, vals
+		m.idx[bi], m.vals[bi] = idx, vals
 	}
 	if !labeled {
 		m.ids = nil
@@ -77,32 +73,33 @@ func ImportDual(blocks []DualBlock) *Multipliers {
 
 // Remap translates the dual state through a candidate renumbering:
 // perm[old] is the new position of candidate old, or a negative value
-// when the candidate was dropped — its sites are discarded. Positions
-// beyond perm are likewise dropped. Block labels are preserved, so a
-// compacted session still matches blocks across workload deltas. The
-// receiver is unchanged; a nil receiver remaps to nil.
+// when the candidate was dropped — its multipliers are discarded.
+// Positions beyond perm are likewise dropped. Block labels are
+// preserved, so a compacted session still matches blocks across
+// workload deltas. The receiver is unchanged; a nil receiver remaps to
+// nil.
 func (m *Multipliers) Remap(perm []int32) *Multipliers {
 	if m == nil {
 		return nil
 	}
 	out := &Multipliers{
-		keys: make([][]siteKey, len(m.keys)),
-		vals: make([][]float64, len(m.keys)),
+		idx:  make([][]int32, len(m.idx)),
+		vals: make([][]float64, len(m.idx)),
 	}
 	if m.ids != nil {
 		out.ids = append([]string(nil), m.ids...)
 	}
-	for bi := range m.keys {
-		keys := make([]siteKey, 0, len(m.keys[bi]))
-		vals := make([]float64, 0, len(m.keys[bi]))
-		for k, key := range m.keys[bi] {
-			if key.index < 0 || int(key.index) >= len(perm) || perm[key.index] < 0 {
+	for bi := range m.idx {
+		idx := make([]int32, 0, len(m.idx[bi]))
+		vals := make([]float64, 0, len(m.idx[bi]))
+		for k, a := range m.idx[bi] {
+			if a < 0 || int(a) >= len(perm) || perm[a] < 0 {
 				continue
 			}
-			keys = append(keys, siteKey{choice: key.choice, slot: key.slot, index: perm[key.index]})
+			idx = append(idx, perm[a])
 			vals = append(vals, m.vals[bi][k])
 		}
-		out.keys[bi], out.vals[bi] = keys, vals
+		out.idx[bi], out.vals[bi] = idx, vals
 	}
 	return out
 }

@@ -90,30 +90,35 @@ func TestDualRemapCarriesSurvivors(t *testing.T) {
 		}
 	}
 	remapped := cold.Lambda.Remap(perm)
-	for bi := range remapped.keys {
-		// Remap preserves site order, so the expected result is the
-		// surviving subsequence of the original sites (keys may repeat:
-		// a slot can hold two options on one index).
-		var wantKeys []siteKey
+	for bi := range remapped.idx {
+		// Remap preserves multiplier order, so the expected result is
+		// the surviving subsequence of the original multipliers, one
+		// per index of the block.
+		var wantIdx []int32
 		var wantVals []float64
-		for k, key := range cold.Lambda.keys[bi] {
-			if perm[key.index] < 0 {
+		for k, a := range cold.Lambda.idx[bi] {
+			if perm[a] < 0 {
 				continue
 			}
-			wantKeys = append(wantKeys, siteKey{choice: key.choice, slot: key.slot, index: perm[key.index]})
+			wantIdx = append(wantIdx, perm[a])
 			wantVals = append(wantVals, cold.Lambda.vals[bi][k])
 		}
-		if len(remapped.keys[bi]) != len(wantKeys) {
-			t.Fatalf("block %d: %d remapped sites, want %d", bi, len(remapped.keys[bi]), len(wantKeys))
+		if len(remapped.idx[bi]) != len(wantIdx) {
+			t.Fatalf("block %d: %d remapped multipliers, want %d", bi, len(remapped.idx[bi]), len(wantIdx))
 		}
-		for k := range wantKeys {
-			if remapped.keys[bi][k] != wantKeys[k] || remapped.vals[bi][k] != wantVals[k] {
-				t.Fatalf("block %d site %d: got %+v=%v, want %+v=%v",
-					bi, k, remapped.keys[bi][k], remapped.vals[bi][k], wantKeys[k], wantVals[k])
+		seen := map[int32]bool{}
+		for k := range wantIdx {
+			if remapped.idx[bi][k] != wantIdx[k] || remapped.vals[bi][k] != wantVals[k] {
+				t.Fatalf("block %d multiplier %d: got index %d=%v, want index %d=%v",
+					bi, k, remapped.idx[bi][k], remapped.vals[bi][k], wantIdx[k], wantVals[k])
 			}
-			if wantKeys[k].index >= kept {
-				t.Fatalf("block %d: remapped site index %d beyond compacted set %d", bi, wantKeys[k].index, kept)
+			if wantIdx[k] >= kept {
+				t.Fatalf("block %d: remapped index %d beyond compacted set %d", bi, wantIdx[k], kept)
 			}
+			if seen[wantIdx[k]] {
+				t.Fatalf("block %d: index %d carries two multipliers", bi, wantIdx[k])
+			}
+			seen[wantIdx[k]] = true
 		}
 	}
 

@@ -32,7 +32,10 @@ func bruteForce(m *Model) (float64, []bool) {
 }
 
 // randomModel builds a random structured model with n indexes and b
-// blocks. Every block gets a fallback choice.
+// blocks. Every block gets a fallback choice. An index fills at most
+// one slot of a choice (Validate's invariant): a drawn option whose
+// index an earlier slot of the same choice already uses is dropped,
+// not redrawn, so the random stream does not depend on the drops.
 func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 	m := NewModel(n)
 	for a := 0; a < n; a++ {
@@ -51,15 +54,22 @@ func randomModel(r *rand.Rand, n, b int, budgetFrac float64) *Model {
 		nChoices := 1 + r.Intn(3)
 		for c := 0; c < nChoices; c++ {
 			ch := Choice{Fixed: 10 + math.Floor(r.Float64()*50)}
+			taken := map[int32]bool{} // indexes of earlier slots
 			nSlots := 1 + r.Intn(2)
 			for sl := 0; sl < nSlots; sl++ {
 				slot := Slot{{Index: NoIndex, Cost: 50 + math.Floor(r.Float64()*100)}}
 				nOpts := 1 + r.Intn(3)
 				for o := 0; o < nOpts; o++ {
-					slot = append(slot, Option{
+					opt := Option{
 						Index: int32(r.Intn(n)),
 						Cost:  math.Floor(r.Float64() * 60),
-					})
+					}
+					if !taken[opt.Index] {
+						slot = append(slot, opt)
+					}
+				}
+				for _, o := range slot[1:] {
+					taken[o.Index] = true
 				}
 				ch.Slots = append(ch.Slots, slot)
 			}

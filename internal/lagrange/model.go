@@ -124,14 +124,6 @@ type Model struct {
 	// Const is a constant objective offset (e.g. base-tuple update
 	// costs Σ f_q·c_q, or −λM terms from scalarized soft constraints).
 	Const float64
-	// DistinctPerChoice asserts that within every choice an index
-	// appears in at most one slot — true for index tuning, where slots
-	// are distinct tables. When set, the solver aggregates the
-	// multipliers of all use sites of an index within a block into
-	// one, which yields a much stronger Lagrangian bound (an index
-	// useful in many templates no longer has its dual price diluted
-	// across them). Validate enforces the assertion.
-	DistinctPerChoice bool
 }
 
 // NewModel returns an empty model for n candidate indexes.
@@ -145,7 +137,13 @@ func NewModel(n int) *Model {
 }
 
 // Validate checks structural invariants; it returns an error naming
-// the first violation.
+// the first violation. Besides index ranges and the index-free
+// fallback choice of every block, it requires that within one choice an
+// index appears in at most one slot — true for index tuning, where the
+// slots of a template are distinct tables. The solver prices all use
+// sites of an index within a block with one multiplier, which is only
+// a valid relaxation under this invariant. The same index may appear
+// twice within one slot (alternative access costs).
 func (m *Model) Validate() error {
 	if len(m.FixedCost) != m.NumIndexes || len(m.Size) != m.NumIndexes {
 		return fmt.Errorf("lagrange: cost/size arrays must have %d entries", m.NumIndexes)
@@ -157,21 +155,16 @@ func (m *Model) Validate() error {
 		}
 		hasFallback := false
 		for ci := range b.Choices {
-			if m.DistinctPerChoice {
-				seen := map[int32]bool{}
-				for _, s := range b.Choices[ci].Slots {
-					for _, o := range s {
-						if o.Index == NoIndex {
-							continue
-						}
-						if seen[o.Index] {
-							return fmt.Errorf("lagrange: block %d choice %d repeats index %d across slots (DistinctPerChoice)", bi, ci, o.Index)
-						}
+			seen := map[int32]bool{}
+			for _, s := range b.Choices[ci].Slots {
+				for _, o := range s {
+					if o.Index != NoIndex && seen[o.Index] {
+						return fmt.Errorf("lagrange: block %d choice %d repeats index %d across slots", bi, ci, o.Index)
 					}
-					for _, o := range s {
-						if o.Index != NoIndex {
-							seen[o.Index] = true
-						}
+				}
+				for _, o := range s {
+					if o.Index != NoIndex {
+						seen[o.Index] = true
 					}
 				}
 			}

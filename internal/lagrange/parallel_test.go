@@ -8,8 +8,10 @@ import (
 	"repro/internal/lp"
 )
 
-// randomModel builds a block-structured model large enough to cross
-// the parallel-evaluation threshold.
+// randomBlockModel builds a block-structured model large enough to
+// cross the parallel-evaluation threshold. As in randomModel, an option
+// whose index an earlier slot of the same choice uses is dropped after
+// its draws, keeping the random stream unchanged.
 func randomBlockModel(seed int64, blocks, indexes int) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewModel(indexes)
@@ -24,6 +26,7 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 		for c := 0; c < choices; c++ {
 			ch := Choice{Fixed: rng.Float64() * 10}
 			slots := 1 + rng.Intn(3)
+			taken := map[int32]bool{} // indexes of earlier slots
 			for sl := 0; sl < slots; sl++ {
 				slot := Slot{{Index: NoIndex, Cost: 5 + rng.Float64()*10}}
 				opts := rng.Intn(4)
@@ -34,7 +37,13 @@ func randomBlockModel(seed int64, blocks, indexes int) *Model {
 						continue
 					}
 					used[a] = true
-					slot = append(slot, Option{Index: a, Cost: rng.Float64() * 5})
+					opt := Option{Index: a, Cost: rng.Float64() * 5}
+					if !taken[a] {
+						slot = append(slot, opt)
+					}
+				}
+				for a := range used {
+					taken[a] = true
 				}
 				ch.Slots = append(ch.Slots, slot)
 			}

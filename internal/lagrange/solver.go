@@ -36,28 +36,24 @@ type Event struct {
 	Gap float64
 }
 
-// Multipliers carries the dual state of a solve for warm starts. One
-// multiplier exists per use site — per (block, choice, slot, option)
-// with a real index, mirroring the x_{qkia} variables of Theorem 1
-// whose linking constraints the relax(B) step moves into the
-// objective. Sites are keyed by (choice, slot, index) so warm starts
-// survive appended candidates (interactive tuning adds options without
-// renumbering existing ones). When the model labels its blocks
-// (Block.ID), the per-block multiplier vectors additionally carry
-// those labels, and a later solve matches blocks by label rather than
-// position — warm starts then survive workload deltas (statements
-// appended, removed or re-weighted), the incremental re-optimization
-// the streaming advisor relies on.
+// Multipliers carries the dual state of a solve for warm starts. The
+// relax(B) step moves the linking constraints x_{qkia} ≤ z_a of
+// Theorem 1 into the objective; within one block every use site of an
+// index shares one multiplier (slots of a choice are distinct tables,
+// so an index fills at most one slot per choice), which keeps an index
+// useful in many templates from having its dual price diluted across
+// them. Multipliers are keyed by index, so warm starts survive appended
+// candidates (interactive tuning adds options without renumbering
+// existing ones). When the model labels its blocks (Block.ID), the
+// per-block multiplier vectors additionally carry those labels, and a
+// later solve matches blocks by label rather than position — warm
+// starts then survive workload deltas (statements appended, removed or
+// re-weighted), the incremental re-optimization the streaming advisor
+// relies on.
 type Multipliers struct {
 	ids  []string // block labels at export time ("" for unlabeled)
-	keys [][]siteKey
+	idx  [][]int32
 	vals [][]float64
-}
-
-// siteKey stably identifies a use site within a block.
-type siteKey struct {
-	choice, slot int32
-	index        int32
 }
 
 // Options configure a solve.
@@ -135,16 +131,13 @@ type solver struct {
 	m    *Model
 	opts Options
 
-	// Per block: one multiplier per *group*. Without DistinctPerChoice
-	// a group is one use site, in deterministic (choice, slot, option)
-	// iteration order; with it, all sites of an index within the block
-	// share a group, which strengthens the dual. siteGroup maps each
-	// site to its group (−1 for NoIndex options); groupIdx holds the
-	// index id of each group.
+	// Per block: one multiplier per *group*, the use sites of one
+	// index within the block, numbered in order of first use. siteGroup
+	// maps each site to its group (−1 for NoIndex options); groupIdx
+	// holds the index id of each group.
 	lam       [][]float64
 	siteGroup [][]int32
 	groupIdx  [][]int32
-	keys      [][]siteKey
 
 	// flat is the model compiled into contiguous arrays — the solver's
 	// equivalent of the INUM γ slabs. blockDual and evaluate walk these
@@ -153,7 +146,7 @@ type solver struct {
 	// structured walk.
 	flat flatModel
 
-	// attract[a] = Σ_sites w_b·λ_site over sites using index a,
+	// attract[a] = Σ_b w_b·λ_{b,a} over blocks using index a,
 	// maintained incrementally.
 	attract []float64
 
@@ -329,7 +322,6 @@ func (s *solver) compile() {
 	s.lam = make([][]float64, len(m.Blocks))
 	s.siteGroup = make([][]int32, len(m.Blocks))
 	s.groupIdx = make([][]int32, len(m.Blocks))
-	s.keys = make([][]siteKey, len(m.Blocks))
 	f := &s.flat
 	f.blockChoice = make([]int32, 1, len(m.Blocks)+1)
 	f.blockOpt = make([]int32, 1, len(m.Blocks)+1)
@@ -338,11 +330,10 @@ func (s *solver) compile() {
 	for bi := range m.Blocks {
 		var siteGroup []int32
 		var groupIdx []int32
-		var keys []siteKey
-		byIndex := map[int32]int32{} // aggregated mode: index → group
-		for ci, c := range m.Blocks[bi].Choices {
+		byIndex := map[int32]int32{} // index → group
+		for _, c := range m.Blocks[bi].Choices {
 			f.choiceFixed = append(f.choiceFixed, c.Fixed)
-			for si, slot := range c.Slots {
+			for _, slot := range c.Slots {
 				for _, o := range slot {
 					f.optCost = append(f.optCost, o.Cost)
 					f.optIdx = append(f.optIdx, o.Index)
@@ -350,21 +341,13 @@ func (s *solver) compile() {
 						siteGroup = append(siteGroup, -1)
 						continue
 					}
-					if m.DistinctPerChoice {
-						g, ok := byIndex[o.Index]
-						if !ok {
-							g = int32(len(groupIdx))
-							byIndex[o.Index] = g
-							groupIdx = append(groupIdx, o.Index)
-							keys = append(keys, siteKey{choice: -1, slot: -1, index: o.Index})
-						}
-						siteGroup = append(siteGroup, g)
-					} else {
-						g := int32(len(groupIdx))
+					g, ok := byIndex[o.Index]
+					if !ok {
+						g = int32(len(groupIdx))
+						byIndex[o.Index] = g
 						groupIdx = append(groupIdx, o.Index)
-						keys = append(keys, siteKey{choice: int32(ci), slot: int32(si), index: o.Index})
-						siteGroup = append(siteGroup, g)
 					}
+					siteGroup = append(siteGroup, g)
 				}
 				f.slotOpt = append(f.slotOpt, int32(len(f.optCost)))
 			}
@@ -374,7 +357,6 @@ func (s *solver) compile() {
 		f.blockOpt = append(f.blockOpt, int32(len(f.optCost)))
 		s.siteGroup[bi] = siteGroup
 		s.groupIdx[bi] = groupIdx
-		s.keys[bi] = keys
 		s.lam[bi] = make([]float64, len(groupIdx))
 	}
 
@@ -398,7 +380,7 @@ func (s *solver) compile() {
 }
 
 // applyWarm copies multipliers from a previous solve, matching groups
-// by key. Groups unknown to the old solve (options added since — the
+// by index. Groups unknown to the old solve (options added since — the
 // interactive-tuning delta) are then *repriced*: each new option
 // receives the smallest multiplier that keeps it from undercutting its
 // slot's current dual minimum. Without repricing, fresh zero
@@ -415,7 +397,7 @@ func (s *solver) compile() {
 // dual price for a statement the previous solve never saw.
 func (s *solver) applyWarm(w *Multipliers) {
 	byLabel := w.ids != nil
-	if !byLabel && len(w.keys) != len(s.keys) {
+	if !byLabel && len(w.idx) != len(s.groupIdx) {
 		return // unlabeled export and block structure changed; cold start
 	}
 	oldByID := make(map[string]int, len(w.ids))
@@ -424,26 +406,26 @@ func (s *solver) applyWarm(w *Multipliers) {
 			oldByID[id] = i
 		}
 	}
-	for bi := range s.keys {
+	for bi, groups := range s.groupIdx {
 		oi := -1
 		if id := s.m.Blocks[bi].ID; byLabel && id != "" {
 			if j, ok := oldByID[id]; ok {
 				oi = j
 			}
-		} else if len(w.keys) == len(s.keys) {
+		} else if len(w.idx) == len(s.groupIdx) {
 			oi = bi
 		}
-		matched := make([]bool, len(s.keys[bi]))
+		matched := make([]bool, len(groups))
 		if oi >= 0 {
 			wt := s.m.Blocks[bi].Weight
-			old := make(map[siteKey]float64, len(w.keys[oi]))
-			for k, key := range w.keys[oi] {
-				old[key] = w.vals[oi][k]
+			old := make(map[int32]float64, len(w.idx[oi]))
+			for k, a := range w.idx[oi] {
+				old[a] = w.vals[oi][k]
 			}
-			for k, key := range s.keys[bi] {
-				if v, ok := old[key]; ok && key.index != NoIndex && int(key.index) < s.m.NumIndexes {
+			for k, a := range groups {
+				if v, ok := old[a]; ok {
 					s.lam[bi][k] = v
-					s.attract[key.index] += wt * v
+					s.attract[a] += wt * v
 					matched[k] = true
 				}
 			}
@@ -512,17 +494,17 @@ func (s *solver) repriceNew(bi int, matched []bool) {
 // so a structurally different later model can still adopt it.
 func (s *solver) exportLambda() *Multipliers {
 	w := &Multipliers{
-		ids:  make([]string, len(s.keys)),
-		keys: make([][]siteKey, len(s.keys)),
-		vals: make([][]float64, len(s.keys)),
+		ids:  make([]string, len(s.groupIdx)),
+		idx:  make([][]int32, len(s.groupIdx)),
+		vals: make([][]float64, len(s.groupIdx)),
 	}
 	labeled := false
-	for bi := range s.keys {
+	for bi := range s.groupIdx {
 		w.ids[bi] = s.m.Blocks[bi].ID
 		if w.ids[bi] != "" {
 			labeled = true
 		}
-		w.keys[bi] = append([]siteKey(nil), s.keys[bi]...)
+		w.idx[bi] = append([]int32(nil), s.groupIdx[bi]...)
 		w.vals[bi] = append([]float64(nil), s.lam[bi]...)
 	}
 	if !labeled {
@@ -927,9 +909,9 @@ func (s *solver) subgradient(iters int, updateGlobal bool) (float64, []float64, 
 		}
 
 		// 4. Subgradient step on λ: g_ba = x_ba − z_a.
-		// Each site's multiplier is applied inside the weighted block
-		// term, so its effective coefficient is w_b·λ_site and the
-		// subgradient component is w_b·(x_site − z_a).
+		// Each multiplier is applied inside the weighted block term, so
+		// its effective coefficient is w_b·λ_{b,a} and the subgradient
+		// component is w_b·(x_ba − z_a).
 		norm := 0.0
 		for bi := range m.Blocks {
 			wt := m.Blocks[bi].Weight

@@ -74,8 +74,8 @@ func TestApplyIgnores(t *testing.T) {
 		}
 	}
 	diags := []lint.Diagnostic{
-		diag("floatdet", "x := 1"),         // directive on the line above
-		diag("ctxflow", "y := 2"),          // directive at end of line
+		diag("floatdet", "x := 1"),          // directive on the line above
+		diag("ctxflow", "y := 2"),           // directive at end of line
 		diag("errbody", "return x + y + z"), // no directive: must survive
 	}
 
@@ -98,9 +98,9 @@ func TestApplyIgnores(t *testing.T) {
 		t.Errorf("undirected diagnostic was dropped:\n%s", joined)
 	}
 	for _, wantSub := range []string{
-		"missing its reason",            // //lint:ignore errbody
-		"malformed //lint:ignore",       // //lint:ignore
-		`unknown analyzer "bogus"`,      // //lint:ignore bogus ...
+		"missing its reason",              // //lint:ignore errbody
+		"malformed //lint:ignore",         // //lint:ignore
+		`unknown analyzer "bogus"`,        // //lint:ignore bogus ...
 		"unused //lint:ignore nakedclock", // stale directive, nakedclock enabled
 	} {
 		if !strings.Contains(joined, wantSub) {

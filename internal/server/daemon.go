@@ -194,7 +194,6 @@ type Daemon struct {
 	whatifs        *obs.Counter
 	recommends     *obs.Counter
 	evicted        *obs.Counter
-	rebases        *obs.Counter
 	compactions    *obs.Counter
 	walRecords     *obs.Counter
 	snapshots      *obs.Counter
@@ -579,51 +578,32 @@ func (d *Daemon) solveRecommend(ctx context.Context, opts RecommendOptions) (Rec
 	// The session's candidate positions are append-only (they anchor
 	// the solver's z variables), so dead candidates — ones no live
 	// statement generates anymore — keep their z variables until the
-	// session is rebuilt. Two policies bound that growth, in order of
-	// preference:
-	//
-	// Compaction (warm): when the dead candidates outnumber the live
-	// ones — cheap to detect, one set intersection — the session is
-	// rebased onto the live candidate set with the surviving
-	// multipliers carried across by block label and position remap, so
-	// the next solve stays warm.
-	//
-	// Rebase (cold): with a candidate cap configured, a request whose
-	// own candidate set exceeds it is the caller's problem (413); a
-	// union over the cap that compaction could not fix (the session is
-	// cold, nothing to carry) drops the session for a cold re-session
-	// over the live candidates instead of wedging every future request.
+	// session is compacted onto the live candidate set. Compaction
+	// carries the surviving multipliers and incumbent across (block
+	// label and position remap), so a warm session stays warm; on a
+	// cold session it is exactly a fresh session over the live
+	// candidates. It runs when the dead candidates outnumber the live
+	// ones, or when the union would exceed the candidate cap. A request
+	// whose own candidate set exceeds the cap is the caller's problem
+	// (413).
 	own := make(map[string]bool, len(cands))
 	for _, ix := range cands {
 		own[ix.ID()] = true
 	}
-	if d.session != nil && d.session.Warm() {
+	if d.maxCandidates > 0 && len(own) > d.maxCandidates {
+		return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(own), d.maxCandidates)
+	}
+	if d.session != nil {
 		dead := 0
 		for _, ix := range d.session.Candidates() {
 			if !own[ix.ID()] {
 				dead++
 			}
 		}
-		if live := len(d.session.Candidates()) - dead; dead > live {
+		live := len(d.session.Candidates()) - dead
+		if dead > live || (d.maxCandidates > 0 && len(own)+dead > d.maxCandidates) {
 			d.session.Compact(cands)
 			d.compactions.Add(1)
-		}
-	}
-	if d.maxCandidates > 0 {
-		if len(own) > d.maxCandidates {
-			return RecommendResult{}, fmt.Errorf("server: %w: %d > %d", ErrTooManyCandidates, len(own), d.maxCandidates)
-		}
-		if d.session != nil {
-			union := len(own)
-			for _, ix := range d.session.Candidates() {
-				if !own[ix.ID()] {
-					union++
-				}
-			}
-			if union > d.maxCandidates {
-				d.session = nil // rebase: next solve is cold over live candidates only
-				d.rebases.Add(1)
-			}
 		}
 	}
 
@@ -736,11 +716,10 @@ type Stats struct {
 	// bases — visible here instead of silently doubling solve work.
 	NumericFallbacks int64 `json:"numeric_fallbacks"`
 	WarmDowngrades   int64 `json:"warm_downgrades"`
-	// SessionRebases counts cold re-sessions forced by the candidate
-	// cap; SessionCompactions counts warm rebases onto the live
-	// candidate set (dead candidates outnumbered live ones and the
-	// multipliers were carried across).
-	SessionRebases     int64 `json:"session_rebases"`
+	// SessionCompactions counts compactions of the session onto the
+	// live candidate set (dead candidates outnumbered live ones, or the
+	// union exceeded the candidate cap), carrying any warm state
+	// across.
 	SessionCompactions int64 `json:"session_compactions"`
 	// PlanCacheHits / PlanCacheMisses expose the INUM shape cache:
 	// hits are statement preparations that skipped every optimizer call
@@ -799,7 +778,6 @@ func (d *Daemon) Snapshot() Stats {
 		EvictedEntries:     d.evicted.Load(),
 		NumericFallbacks:   d.numFallbacks.Load(),
 		WarmDowngrades:     d.warmDowngrades.Load(),
-		SessionRebases:     d.rebases.Load(),
 		SessionCompactions: d.compactions.Load(),
 		WALRecords:         d.walRecords.Load(),
 		SnapshotsWritten:   d.snapshots.Load(),

@@ -157,8 +157,7 @@ func TestRecommendTooManyCandidates(t *testing.T) {
 // so far that the session's accumulated candidates are mostly dead,
 // the daemon compacts the session onto the live candidate set — warm,
 // multipliers carried by block label — instead of wedging on the cap
-// (and instead of the old cold rebase, which forfeited the warm
-// state).
+// or forfeiting the warm state.
 func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.05})
 	wA := workload.Het(workload.HetConfig{Queries: 8, Seed: 5})
@@ -179,7 +178,7 @@ func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 		cap = sizeB
 	}
 	if union <= cap {
-		t.Skip("workload mixes share all candidates; cannot exercise the rebase")
+		t.Skip("workload mixes share all candidates; cannot exercise the compaction")
 	}
 
 	d := testDaemonWith(t, func(c *Config) {
@@ -210,19 +209,16 @@ func TestRecommendCompactsInsteadOfWedging(t *testing.T) {
 	if second.Candidates > cap {
 		t.Fatalf("compacted session still over cap: %d > %d", second.Candidates, cap)
 	}
-	st := d.Snapshot()
-	if st.SessionCompactions == 0 {
+	if d.Snapshot().SessionCompactions == 0 {
 		t.Fatal("compaction counter never moved")
-	}
-	if st.SessionRebases != 0 {
-		t.Fatal("compaction should have made the cold rebase unnecessary")
 	}
 }
 
-// TestRecommendRebasesColdSession: the cold-rebase fallback still
-// exists for a session with no warm state to carry — over the cap it
-// is dropped for a cold re-session instead of wedging 413.
-func TestRecommendRebasesColdSession(t *testing.T) {
+// TestRecommendCompactsColdSession: a session with no warm state to
+// carry is compacted too — over the cap it shrinks onto the live
+// candidates (exactly a fresh session over them) instead of wedging
+// 413.
+func TestRecommendCompactsColdSession(t *testing.T) {
 	d := testDaemonWith(t, func(c *Config) { c.MaxCandidates = 4096 })
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
@@ -240,13 +236,16 @@ func TestRecommendRebasesColdSession(t *testing.T) {
 
 	var rec RecommendResult
 	if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &rec); resp.StatusCode != http.StatusOK {
-		t.Fatalf("recommend over bloated cold session: status %d, want 200 via rebase", resp.StatusCode)
+		t.Fatalf("recommend over bloated cold session: status %d, want 200 via compaction", resp.StatusCode)
 	}
 	if rec.Warm {
-		t.Fatal("rebased solve should be cold")
+		t.Fatal("compacted cold session should solve cold")
 	}
-	if d.Snapshot().SessionRebases == 0 {
-		t.Fatal("rebase counter never moved")
+	if rec.Candidates > d.maxCandidates {
+		t.Fatalf("compacted session still over cap: %d > %d", rec.Candidates, d.maxCandidates)
+	}
+	if d.Snapshot().SessionCompactions == 0 {
+		t.Fatal("compaction counter never moved")
 	}
 }
 

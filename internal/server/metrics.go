@@ -32,10 +32,8 @@ func (d *Daemon) registerMetrics(reg *obs.Registry) {
 		"LP solves finished by a cold re-solve after a numerical failure.")
 	d.warmDowngrades = reg.Counter("cophyd_warm_downgrades_total",
 		"Warm LP bases numerically defeated into cold installs.")
-	d.rebases = reg.Counter("cophyd_session_rebases_total",
-		"Cold re-sessions forced by the candidate cap.")
 	d.compactions = reg.Counter("cophyd_session_compactions_total",
-		"Warm session rebases onto the live candidate set.")
+		"Session compactions onto the live candidate set.")
 	d.walRecords = reg.Counter("cophyd_wal_records_total",
 		"Records appended to the write-ahead log.")
 	d.snapshots = reg.Counter("cophyd_snapshots_total",

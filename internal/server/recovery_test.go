@@ -137,6 +137,90 @@ func TestKillRestartWarmRecovery(t *testing.T) {
 	_ = cold // the pre-kill cold solve seeded the session the WAL preserved
 }
 
+// TestRecoverLegacyDualSites pins warm-state wire compatibility: a data
+// directory whose last session record writes every dual site in the
+// older (choice, slot, index) form — "choice":-1,"slot":-1 on each,
+// the keys per-index multipliers always carried — recovers warm, and
+// the first /recommend equals the in-process warm re-solve of the same
+// state.
+func TestRecoverLegacyDualSites(t *testing.T) {
+	dir := t.TempDir()
+	d1 := durableDaemon(t, dir, nil)
+	srv1 := httptest.NewServer(d1.Handler())
+	gen := workload.Hom(workload.HomConfig{Queries: 30, Seed: 11})
+	post(t, srv1, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil)
+	if resp := post(t, srv1, "/recommend", RecommendOptions{BudgetFraction: 0.5}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold recommend: status %d", resp.StatusCode)
+	}
+	srv1.Close() // SIGKILL: the WAL holds the ingest and the session record
+
+	// Append the same session state once more, re-encoded in the older
+	// site form; session records are absolute, so this one wins.
+	st := d1.sessionStateLocked(0.5)
+	raw, err := json.Marshal(walRecord{Type: "session", Session: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := 0
+	for _, b := range st.Duals {
+		sites += len(b.Sites)
+	}
+	if sites == 0 {
+		t.Fatal("session state carries no dual sites")
+	}
+	const site = `{"index":`
+	if got := strings.Count(string(raw), site); got != sites {
+		t.Fatalf("record has %d site objects, state has %d sites", got, sites)
+	}
+	legacy := strings.ReplaceAll(string(raw), site, `{"choice":-1,"slot":-1,"index":`)
+	store, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func([]byte) error { return nil }
+	if _, err := store.Recover(nop, nop); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append([]byte(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Control: the pre-kill session re-solves warm over the same state.
+	inProc, err := d1.session.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := durableDaemon(t, dir, nil)
+	srv2 := httptest.NewServer(d2.Handler())
+	defer srv2.Close()
+	if rec := d2.Snapshot().Recovery; rec == nil || !rec.WarmSession {
+		t.Fatalf("legacy session record did not recover warm: %+v", rec)
+	}
+	var warm RecommendResult
+	if resp := post(t, srv2, "/recommend", RecommendOptions{BudgetFraction: 0.5}, &warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart recommend: status %d", resp.StatusCode)
+	}
+	if !warm.Warm {
+		t.Fatal("first post-restart recommend reports cold")
+	}
+	if warm.Iters != inProc.Iters || warm.EstCost != inProc.EstCost || warm.Lower != inProc.Lower || warm.Gap != inProc.Gap {
+		t.Fatalf("recovered solve differs from in-process warm re-solve: iters %d/%d cost %v/%v lower %v/%v gap %v/%v",
+			warm.Iters, inProc.Iters, warm.EstCost, inProc.EstCost, warm.Lower, inProc.Lower, warm.Gap, inProc.Gap)
+	}
+	if len(warm.Indexes) != len(inProc.Indexes) {
+		t.Fatalf("recovered solve picked %d indexes, in-process %d", len(warm.Indexes), len(inProc.Indexes))
+	}
+	for i, sp := range warm.Indexes {
+		if got, want := sp.Index().ID(), inProc.Indexes[i].ID(); got != want {
+			t.Fatalf("index %d: recovered %s, in-process %s", i, got, want)
+		}
+	}
+}
+
 // TestSnapshotBoundsReplay: after a snapshot, the WAL before it is
 // gone, recovery loads the snapshot and replays only the tail, and the
 // result is the same state.

@@ -296,6 +296,33 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRepeatedFromTableRejected: a statement naming one table twice in
+// FROM is refused at the door (422 on /ingest and /whatif) instead of
+// entering the live workload, where its model would fail validation in
+// every later /recommend until the statement decayed out.
+func TestRepeatedFromTableRejected(t *testing.T) {
+	d := testDaemon(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	gen := workload.Hom(workload.HomConfig{Queries: 6, Seed: 8})
+	if resp := post(t, srv, "/ingest", ingestRequest{SQL: renderSQL(gen)}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	const selfJoin = "SELECT orders.o_totalprice FROM orders, orders WHERE orders.o_orderdate < :0.5"
+	if resp := post(t, srv, "/ingest", ingestRequest{SQL: selfJoin}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("ingest of a repeated FROM table: status %d, want 422", resp.StatusCode)
+	}
+	if resp := post(t, srv, "/whatif", whatIfRequest{SQL: selfJoin}, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("whatif of a repeated FROM table: status %d, want 422", resp.StatusCode)
+	}
+	for i := 0; i < 2; i++ {
+		if resp := post(t, srv, "/recommend", RecommendOptions{BudgetFraction: 0.5}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("recommend %d after the rejected ingest: status %d, want 200", i, resp.StatusCode)
+		}
+	}
+}
+
 // TestWhatIfMatchesInumDirect pins the HTTP what-if to the INUM cost
 // the advisor itself would compute.
 func TestWhatIfMatchesInumDirect(t *testing.T) {

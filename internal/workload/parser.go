@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -237,6 +238,11 @@ func (p *parser) selectStmt() (*Query, float64, error) {
 		t := p.next()
 		if p.cat.Table(t) == nil {
 			return nil, 0, p.errf("unknown table %q", t)
+		}
+		// Columns resolve by table name and templates keep one access
+		// slot per table, so a self-join has no meaning here.
+		if slices.Contains(q.Tables, t) {
+			return nil, 0, p.errf("table %q named twice in FROM", t)
 		}
 		q.Tables = append(q.Tables, t)
 		if !p.accept(",") {

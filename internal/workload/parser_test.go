@@ -123,6 +123,7 @@ func TestParseErrors(t *testing.T) {
 		"UPDATE lineitem SET o_orderkey = :0.5;",
 		"SELECT l_quantity FROM lineitem WHERE l_quantity BETWEEN :0.1;",
 		"SELECT l_quantity FROM lineitem SELECT",
+		"SELECT orders.o_totalprice FROM orders, orders WHERE orders.o_orderdate < :0.5",
 	} {
 		if _, err := Parse(cat, bad); err == nil {
 			t.Fatalf("expected error for %q", bad)
@@ -235,12 +236,12 @@ func TestParseUpdateVariants(t *testing.T) {
 func TestParseUpdateErrors(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.01})
 	for _, bad := range []string{
-		"UPDATE nope SET x = :0.5;",                                          // unknown table
-		"UPDATE lineitem l_quantity = :0.5;",                                 // missing SET
-		"UPDATE lineitem SET l_quantity :0.5;",                               // missing =
-		"UPDATE lineitem SET o_totalprice = :0.5;",                           // column of another table
+		"UPDATE nope SET x = :0.5;",                                            // unknown table
+		"UPDATE lineitem l_quantity = :0.5;",                                   // missing SET
+		"UPDATE lineitem SET l_quantity :0.5;",                                 // missing =
+		"UPDATE lineitem SET o_totalprice = :0.5;",                             // column of another table
 		"UPDATE lineitem SET l_quantity = :0.5 WHERE l_orderkey = o_orderkey;", // join in UPDATE WHERE
-		"UPDATE lineitem SET = :0.5;",                                        // missing column
+		"UPDATE lineitem SET = :0.5;",                                          // missing column
 	} {
 		if _, err := Parse(cat, bad); err == nil {
 			t.Fatalf("expected error for %q", bad)
@@ -251,16 +252,16 @@ func TestParseUpdateErrors(t *testing.T) {
 func TestParseMoreErrorPaths(t *testing.T) {
 	cat := tpch.Build(tpch.Config{ScaleFactor: 0.01})
 	for _, bad := range []string{
-		"SELECT l_quantity FROM lineitem WEIGHT x;",                     // non-numeric weight
-		"SELECT SUM l_quantity FROM lineitem;",                          // aggregate without parens
-		"SELECT SUM(l_quantity FROM lineitem;",                          // unclosed aggregate
+		"SELECT l_quantity FROM lineitem WEIGHT x;",                           // non-numeric weight
+		"SELECT SUM l_quantity FROM lineitem;",                                // aggregate without parens
+		"SELECT SUM(l_quantity FROM lineitem;",                                // unclosed aggregate
 		"SELECT l_quantity FROM lineitem WHERE l_shipdate BETWEEN :0.1 :0.2;", // BETWEEN missing AND
-		"SELECT l_quantity FROM lineitem WHERE l_shipdate < banana;",    // non-constant comparison
-		"SELECT l_quantity FROM lineitem ORDER l_shipdate;",             // ORDER without BY
-		"SELECT l_quantity FROM lineitem GROUP BY;",                     // empty GROUP BY list
-		"SELECT l_quantity FROM lineitem extra;",                        // trailing garbage
-		"SELECT l_quantity, FROM lineitem;",                             // dangling comma swallows FROM
-		"-- only a comment",                                             // no statements
+		"SELECT l_quantity FROM lineitem WHERE l_shipdate < banana;",          // non-constant comparison
+		"SELECT l_quantity FROM lineitem ORDER l_shipdate;",                   // ORDER without BY
+		"SELECT l_quantity FROM lineitem GROUP BY;",                           // empty GROUP BY list
+		"SELECT l_quantity FROM lineitem extra;",                              // trailing garbage
+		"SELECT l_quantity, FROM lineitem;",                                   // dangling comma swallows FROM
+		"-- only a comment",                                                   // no statements
 	} {
 		if _, err := Parse(cat, bad); err == nil {
 			t.Fatalf("expected error for %q", bad)
